@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet doclint lint test race bench bench-smoke bench-json chaos chaos-smoke ci
+.PHONY: all build vet doclint lint test race bench bench-smoke bench-json fuzz-smoke chaos chaos-smoke ci
 
 all: build vet doclint lint test
 
@@ -38,15 +38,15 @@ race:
 # Short benchmark run: the tick-path contention pairs, the cache view
 # micro-benches, the storage backend pairs (in-memory store vs tsdb
 # insert/range plus crash recovery), the aggregation pairs (naive
-# Range+reduce vs the chunk-metadata engine), the concurrent-ingest
-# pairs (single-lock WAL vs group commit), the dashboard read-path
+# Range+reduce vs the chunk-metadata engine), concurrent ingest through
+# the group-commit WAL (8-32 writers), the dashboard read-path
 # pairs (uncached vs result-cached queries, linear vs indexed wildcard
 # expansion), the telemetry overhead pairs (instrumented ingest and
 # dashboard hot paths with the switch off vs on) and the delivery pairs
 # (fire-and-forget publish vs the spooled acked path).
 # Full suite: go test -bench=. -benchmem .
 bench:
-	$(GO) test -run '^$$' -bench 'TickAllContention|QueryContention|CacheView|BackendInsertBatch|BackendRange|TSDBRecovery|Aggregate|Downsample|IngestConcurrent|DashboardQuery|WildcardExpand|Telemetry|PublishUnacked|PublishAcked' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'TickAllContention|QueryContention|CacheView|BackendInsertBatch|BackendRange|TSDBRecovery|StorageRecovery|Aggregate|Downsample|IngestConcurrent|DashboardQuery|WildcardExpand|Telemetry|PublishUnacked|PublishAcked' -benchtime 10x -benchmem .
 
 # One-iteration smoke over the ENTIRE benchmark suite: every benchmark
 # must still compile and execute, so the paired before/after workloads
@@ -54,16 +54,22 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Machine-readable hot-path results for the per-PR perf trajectory,
-# including the storage, aggregation, concurrent-ingest, dashboard
-# read-path and telemetry-overhead acceptance scenarios (on-disk bytes
-# per reading, crash-recovery parity, aggregate speedup vs naive
-# Range+reduce, 16-writer ingest speedup vs the pre-group-commit path,
-# cached dashboard-query speedup and wildcard-expansion scaling, the
-# <=2% telemetry overhead bound on the ingest and dashboard hot paths,
-# and the <=5% acked-publish overhead bound vs fire-and-forget).
+# Machine-readable results for the per-PR perf trajectory: the
+# bench_test.go acceptance benchmarks over repeated interleaved rounds,
+# median and quartiles per metric, and every acceptance bound as an
+# exit-status gate (on-disk bytes per reading < 4, aggregate >=5x faster
+# and >=10x fewer allocs than naive Range+reduce, cached dashboard query
+# >=5x faster, indexed wildcard expansion 64->4096 topics <=4x, <=2%
+# telemetry overhead on the ingest and dashboard hot paths, <=5% acked
+# publish overhead vs fire-and-forget). The answer checks (recovered,
+# aggregate, cached and drained answers identical) fail a round.
 bench-json:
-	$(GO) run ./cmd/benchrunner -bench-json BENCH_PR10.json
+	$(GO) run ./cmd/benchrunner -bench-json BENCH_PR12.json
+
+# Fixed-time fuzz smoke of the WAL record codec: the checked-in seed
+# corpus (internal/tsdb/testdata/fuzz) plus 10s of fresh inputs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s ./internal/tsdb/
 
 # Seeded chaos smoke (~10s): the fault-injected end-to-end scenario and
 # the integration-tier recovery case, both under the race detector. A
@@ -82,6 +88,6 @@ chaos-smoke:
 # merged into the per-PR benchmark artifact under a "chaos" key.
 # Pre-merge gate for storage/transport/ingest changes.
 chaos:
-	$(GO) run ./cmd/chaosrunner -seed 42 -merge BENCH_PR10.json
+	$(GO) run ./cmd/chaosrunner -seed 42 -merge BENCH_PR12.json
 
-ci: build vet doclint lint test race bench-smoke bench chaos-smoke
+ci: build vet doclint lint test race bench-smoke bench fuzz-smoke chaos-smoke

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/dcdb/wintermute/internal/cache"
+	"github.com/dcdb/wintermute/internal/collect"
 	"github.com/dcdb/wintermute/internal/core"
 	"github.com/dcdb/wintermute/internal/core/units"
 	"github.com/dcdb/wintermute/internal/ml/bgmm"
@@ -218,17 +219,11 @@ func BenchmarkQueryRelativeBound(b *testing.B) {
 	_ = buf
 }
 
-// --- Tentpole: per-tick allocations, legacy Compute vs scratch arenas ----
-
-// legacyOnly wraps an operator exposing nothing but the plain Operator
-// interface, forcing the tick path onto the allocating Compute shim —
-// the pre-scratch-arena behaviour, kept measurable for the before/after
-// comparison.
-type legacyOnly struct{ core.Operator }
+// --- Tentpole: per-tick allocations with scratch arenas -----------------
 
 // tickAllocEnv builds an aggregator over 64 node units whose caches are
 // warm, the steady-state shape of a roll-up operator.
-func tickAllocEnv(b *testing.B, legacy bool) (*core.QueryEngine, core.Operator, core.Sink) {
+func tickAllocEnv(b *testing.B) (*core.QueryEngine, core.Operator, core.Sink) {
 	b.Helper()
 	nav := navigator.New()
 	caches := cache.NewSet()
@@ -241,8 +236,6 @@ func tickAllocEnv(b *testing.B, legacy bool) (*core.QueryEngine, core.Operator, 
 		}
 	}
 	qe := core.NewQueryEngine(nav, caches, nil)
-	// Keep this workload in sync with tickEnv in cmd/benchrunner/benchjson.go:
-	// the JSON trajectory numbers must stay comparable to `make bench`.
 	op, err := aggregator.New(aggregator.Config{
 		OperatorConfig: core.OperatorConfig{
 			Name:    "agg",
@@ -255,33 +248,14 @@ func tickAllocEnv(b *testing.B, legacy bool) (*core.QueryEngine, core.Operator, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	sink := core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
-	if legacy {
-		return qe, legacyOnly{op}, sink
-	}
-	return qe, op, sink
+	return qe, op, core.SinkFunc(func(sensor.Topic, sensor.Reading) {})
 }
 
-// BenchmarkTickComputeLegacy drives 64 sequential unit computations per
-// tick through the allocating Compute path (fresh context, fresh buffers
-// per unit).
-func BenchmarkTickComputeLegacy(b *testing.B) {
-	qe, op, sink := tickAllocEnv(b, true)
-	now := time.Unix(179, 0)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := core.Tick(op, qe, sink, now); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTickComputeScratch drives the same 64 computations through
-// ComputeInto with pooled scratch arenas and bound sensor handles: the
+// BenchmarkTickComputeScratch drives 64 sequential unit computations per
+// tick with pooled scratch arenas and bound sensor handles: the
 // steady-state tick performs ~zero allocations.
 func BenchmarkTickComputeScratch(b *testing.B) {
-	qe, op, sink := tickAllocEnv(b, false)
+	qe, op, sink := tickAllocEnv(b)
 	now := time.Unix(179, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -400,13 +374,9 @@ type probeOp struct {
 	probe   time.Duration
 }
 
-func (o *probeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto runs the probe workload on the zero-allocation path: bound
+// Compute runs the probe workload on the zero-allocation path: bound
 // sensor handles and context scratch, like the production plugins.
-func (o *probeOp) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+func (o *probeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	buf := tc.Readings
 	for q := 0; q < o.queries; q++ {
@@ -424,37 +394,10 @@ func (o *probeOp) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time
 	return outs, nil
 }
 
-// legacyProbeOp is the pre-PR2 probe: per-call topic resolution through
-// the unbound Query Engine API and fresh buffers every computation. It is
-// kept as the before side of the hot-path before/after pair.
-type legacyProbeOp struct {
-	*core.Base
-	queries int
-	probe   time.Duration
-}
-
-func (o *legacyProbeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	buf := make([]sensor.Reading, 0, 256)
-	for q := 0; q < o.queries; q++ {
-		in := u.Inputs[q%len(u.Inputs)]
-		buf = qe.QueryRelative(in, 100*time.Second, buf[:0])
-	}
-	if o.probe > 0 {
-		time.Sleep(o.probe)
-	}
-	outs := make([]core.Output, 0, len(u.Outputs))
-	for _, topic := range u.Outputs {
-		outs = append(outs, core.Output{Topic: topic, Reading: sensor.At(float64(len(buf)), now)})
-	}
-	return outs, nil
-}
-
 type probeConfig struct {
 	Ops     int `json:"ops"`
 	Queries int `json:"queries"`
 	ProbeUs int `json:"probeUs"`
-	// Legacy selects the unbound, allocating computation path.
-	Legacy bool `json:"legacy"`
 }
 
 func init() {
@@ -476,11 +419,7 @@ func init() {
 				return nil, err
 			}
 			probe := time.Duration(c.ProbeUs) * time.Microsecond
-			if c.Legacy {
-				ops = append(ops, &legacyProbeOp{Base: base, queries: c.Queries, probe: probe})
-			} else {
-				ops = append(ops, &probeOp{Base: base, queries: c.Queries, probe: probe})
-			}
+			ops = append(ops, &probeOp{Base: base, queries: c.Queries, probe: probe})
 		}
 		return ops, nil
 	})
@@ -492,14 +431,14 @@ func init() {
 // baseline: every computation of every operator runs one after another,
 // like the pre-scheduler TickAll.
 func benchTickAllContention(b *testing.B, threads int) {
-	benchTickAllContentionCfg(b, threads, 100, false)
+	benchTickAllContentionCfg(b, threads, 100)
 }
 
 // benchTickAllContentionCfg drives the contention workload with a chosen
-// probe latency and computation path. probeUs=0 removes the fixed probe
-// sleep so the query and allocation costs dominate — the configuration
-// that isolates the hot-path gains of bound handles and scratch arenas.
-func benchTickAllContentionCfg(b *testing.B, threads, probeUs int, legacy bool) {
+// probe latency. probeUs=0 removes the fixed probe sleep so the query and
+// allocation costs dominate — the configuration that isolates the cost of
+// the bound-handle and scratch-arena hot path.
+func benchTickAllContentionCfg(b *testing.B, threads, probeUs int) {
 	nav := navigator.New()
 	caches := cache.NewSet()
 	for n := 0; n < 16; n++ {
@@ -517,7 +456,7 @@ func benchTickAllContentionCfg(b *testing.B, threads, probeUs int, legacy bool) 
 	m := core.NewManager(qe, sink, core.Env{})
 	m.SetThreads(threads)
 	b.Cleanup(m.Close)
-	raw, _ := json.Marshal(probeConfig{Ops: 8, Queries: 25, ProbeUs: probeUs, Legacy: legacy})
+	raw, _ := json.Marshal(probeConfig{Ops: 8, Queries: 25, ProbeUs: probeUs})
 	if err := m.LoadPlugin("benchprobe", raw); err != nil {
 		b.Fatal(err)
 	}
@@ -540,17 +479,11 @@ func BenchmarkTickAllContentionSequential(b *testing.B) { benchTickAllContention
 // both their probe latencies and their cache queries.
 func BenchmarkTickAllContentionPooled(b *testing.B) { benchTickAllContention(b, 8) }
 
-// BenchmarkTickAllQueryContentionLegacy is the probe-free contention
-// workload on the pre-PR2 path: unbound queries and fresh buffers per
-// computation, 8 operators x 16 parallel units on an 8-thread pool.
-func BenchmarkTickAllQueryContentionLegacy(b *testing.B) {
-	benchTickAllContentionCfg(b, 8, 0, true)
-}
-
-// BenchmarkTickAllQueryContentionBound is the same workload on the bound
-// handle + scratch arena path — the paired after-measurement.
+// BenchmarkTickAllQueryContentionBound is the probe-free contention
+// workload on the bound handle + scratch arena path: 8 operators x 16
+// parallel units on an 8-thread pool.
 func BenchmarkTickAllQueryContentionBound(b *testing.B) {
-	benchTickAllContentionCfg(b, 8, 0, false)
+	benchTickAllContentionCfg(b, 8, 0)
 }
 
 // --- Figure 6: random forest ---------------------------------------------
@@ -731,7 +664,8 @@ func BenchmarkTransportPublish(b *testing.B) {
 // acknowledged v2 frames. Publishes are pipelined (the production
 // shape: pushers never wait per batch) and one op is one batch fully
 // delivered. The pair bounds the ack machinery's no-fault throughput
-// overhead (acceptance: acked within 5% of unacked).
+// overhead (acceptance: acked within 5% of unacked); the acked side
+// fails unless Close drains with every published batch acknowledged.
 func benchPublishDelivery(b *testing.B, spool int) {
 	broker, err := transport.NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -755,7 +689,6 @@ func benchPublishDelivery(b *testing.B, spool int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer client.Close()
 	batch := make([]sensor.Reading, 10)
 	for i := range batch {
 		batch[i] = sensor.Reading{Value: float64(i), Time: int64(i)}
@@ -768,6 +701,11 @@ func benchPublishDelivery(b *testing.B, spool int) {
 		}
 	}
 	<-done
+	b.StopTimer()
+	err = client.Close()
+	if st := client.Stats(); spool > 0 && (err != nil || st.Acked != st.Published) {
+		b.Fatalf("spool did not drain clean: close %v, %d of %d batches acked", err, st.Acked, st.Published)
+	}
 }
 
 // BenchmarkPublishUnacked is the fire-and-forget baseline of the pair.
@@ -923,6 +861,111 @@ func copyCrashState(b *testing.B, src, dst string) {
 	}
 }
 
+// storageAnswers is everything a client can read back from the
+// BenchmarkStorageRecovery corpus: each topic's full range and latest
+// reading, plus one raw REST query.
+type storageAnswers struct {
+	ranges map[sensor.Topic][]sensor.Reading
+	latest map[sensor.Topic]sensor.Reading
+	rest   string
+}
+
+func readStorageAnswers(b *testing.B, a *collect.Agent, topics []sensor.Topic, hi int64) storageAnswers {
+	b.Helper()
+	ans := storageAnswers{ranges: map[sensor.Topic][]sensor.Reading{}, latest: map[sensor.Topic]sensor.Reading{}}
+	for _, tp := range topics {
+		ans.ranges[tp] = a.Store.Range(tp, 0, hi, nil)
+		if r, ok := a.Store.Latest(tp); ok {
+			ans.latest[tp] = r
+		}
+	}
+	w := httptest.NewRecorder()
+	rest.NewHandler(a.Manager, a.QE).ServeHTTP(w, httptest.NewRequest("GET",
+		fmt.Sprintf("/query?sensor=%s&from=0&to=%d", topics[0], hi), nil))
+	if w.Code != 200 {
+		b.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	ans.rest = w.Body.String()
+	return ans
+}
+
+// BenchmarkStorageRecovery is the storage acceptance scenario: a Collect
+// Agent persists 102,400 readings over 64 topics, flushes them into
+// segments and is killed without Close. One op is a second agent
+// recovering a copy of that directory. Set-up fails unless every Range,
+// Latest and REST answer survives recovery unchanged, and reports the
+// amortised on-disk footprint as B/reading (acceptance: below 4).
+func BenchmarkStorageRecovery(b *testing.B) {
+	const perTopic = 1600
+	dir := b.TempDir()
+	agent, err := collect.New(collect.Config{StoreDir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	topics := make([]sensor.Topic, 64)
+	rng := rand.New(rand.NewSource(11))
+	for n := range topics {
+		topics[n] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
+		for k := 0; k < perTopic; k += 64 {
+			batch := make([]sensor.Reading, 64)
+			for j := range batch {
+				batch[j] = sensor.Reading{Value: 100 + float64((k+j)%23) + float64(rng.Intn(5)), Time: int64(k+j) * sec}
+			}
+			agent.IngestBatch(topics[n], batch)
+		}
+	}
+	// Force the steady state the footprint bound is defined over: heads
+	// compacted into segments, WAL retired.
+	if err := agent.DB.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	hi := int64(perTopic) * sec
+	before := readStorageAnswers(b, agent, topics, hi)
+	// Kill: Abandon releases file handles and the directory lock the way
+	// process death would, with no flush and no WAL sync.
+	agent.Manager.Close()
+	agent.DB.Abandon()
+
+	copies := b.TempDir()
+	reopen := func(i int) *collect.Agent {
+		b.StopTimer()
+		dst := fmt.Sprintf("%s/i%d", copies, i)
+		copyCrashState(b, dir, dst)
+		b.StartTimer()
+		a, err := collect.New(collect.Config{StoreDir: dst})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	a := reopen(-1)
+	after := readStorageAnswers(b, a, topics, hi)
+	if after.rest != before.rest {
+		b.Fatalf("REST answer changed across recovery:\n%s\n%s", before.rest, after.rest)
+	}
+	for _, tp := range topics {
+		x, y := before.ranges[tp], after.ranges[tp]
+		if len(x) != len(y) || before.latest[tp] != after.latest[tp] {
+			b.Fatalf("%s: %d readings before recovery, %d after", tp, len(x), len(y))
+		}
+		for j := range x {
+			if x[j] != y[j] {
+				b.Fatalf("%s reading %d: %+v before recovery, %+v after", tp, j, x[j], y[j])
+			}
+		}
+	}
+	diskBytes := a.DB.Stats().DiskBytes
+	a.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := reopen(i)
+		b.StopTimer()
+		a.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(diskBytes)/float64(len(topics)*perTopic), "B/reading")
+}
+
 // --- PR4: aggregation engine vs naive Range+reduce -----------------------
 
 // aggBenchDB builds the PR4 acceptance corpus: 100k+ readings across 64
@@ -943,6 +986,30 @@ func aggBenchDB(b *testing.B) (*tsdb.DB, []sensor.Topic) {
 		b.Fatal(err)
 	}
 	return db, topics
+}
+
+// checkAggEquivalent fails the benchmark unless the engine answers exactly
+// like naive Range+reduce on full, boundary and bucketed windows of every
+// topic of the corpus.
+func checkAggEquivalent(b *testing.B, db *tsdb.DB, topics []sensor.Topic) {
+	b.Helper()
+	for _, tp := range topics {
+		for _, w := range [][2]int64{{0, 1600 * sec}, {137 * sec, 731 * sec}} {
+			if got, want := db.Aggregate(tp, w[0], w[1]), store.AggregateNaive(db, tp, w[0], w[1]); got != want {
+				b.Fatalf("%s [%d,%d]: engine %+v, naive %+v", tp, w[0], w[1], got, want)
+			}
+		}
+		got := db.Downsample(tp, 0, 1600*sec, 60*sec, nil)
+		want := store.DownsampleNaive(db, tp, 0, 1600*sec, 60*sec, nil)
+		if len(got) != len(want) {
+			b.Fatalf("%s: engine %d buckets, naive %d", tp, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				b.Fatalf("%s bucket %d: engine %+v, naive %+v", tp, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // BenchmarkAggregateNaiveRange is the before side of the PR4 pair: an
@@ -971,6 +1038,7 @@ func BenchmarkAggregateNaiveRange(b *testing.B) {
 func BenchmarkAggregateEngine(b *testing.B) {
 	db, topics := aggBenchDB(b)
 	defer db.Close()
+	checkAggEquivalent(b, db, topics)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1004,6 +1072,7 @@ func BenchmarkDownsampleNaiveRange(b *testing.B) {
 func BenchmarkDownsampleEngine(b *testing.B) {
 	db, topics := aggBenchDB(b)
 	defer db.Close()
+	checkAggEquivalent(b, db, topics)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var buckets []store.Bucket
@@ -1015,20 +1084,17 @@ func BenchmarkDownsampleEngine(b *testing.B) {
 	}
 }
 
-// --- PR5: concurrent ingest, legacy single-lock WAL vs group commit ------
+// --- Concurrent ingest through the group-commit WAL ----------------------
 
 // benchIngestConcurrent measures sustained multi-writer InsertBatch
 // throughput: `writers` goroutines each appending 64-reading batches to
 // their own topic. One op is one batch, so ns/op is the sustained
-// per-batch cost across the whole writer cohort. legacy selects the
-// pre-PR5 path (WAL encode+write+fsync under one lock, global head
-// resolution); grouped is the group-commit WAL + sharded head map.
-func benchIngestConcurrent(b *testing.B, writers int, walSync, legacy bool, reg *telemetry.Registry) {
+// per-batch cost across the whole writer cohort.
+func benchIngestConcurrent(b *testing.B, writers int, walSync bool, reg *telemetry.Registry) {
 	db, err := tsdb.Open(b.TempDir(), tsdb.Options{
-		FlushEvery:   -1,
-		WALSync:      walSync,
-		LegacyIngest: legacy,
-		Metrics:      reg,
+		FlushEvery: -1,
+		WALSync:    walSync,
+		Metrics:    reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1066,27 +1132,15 @@ func benchIngestConcurrent(b *testing.B, writers int, walSync, legacy bool, reg 
 	b.StartTimer()
 }
 
-// BenchmarkIngestConcurrentLegacy is the before side of the PR5 pair:
-// every concurrent batch serializes on the WAL writer lock (encode +
-// write + per-batch fsync when sync is on) and a global head lookup.
-func BenchmarkIngestConcurrentLegacy(b *testing.B) {
-	for _, writers := range []int{8, 16, 32} {
-		for _, walSync := range []bool{false, true} {
-			b.Run(fmt.Sprintf("writers=%d/sync=%v", writers, walSync), func(b *testing.B) {
-				benchIngestConcurrent(b, writers, walSync, true, nil)
-			})
-		}
-	}
-}
-
-// BenchmarkIngestConcurrentGrouped is the after side: writers encode
-// outside the lock and share one write + one fsync per commit cohort,
-// and head resolution touches only the topic's shard.
+// BenchmarkIngestConcurrentGrouped runs 8–32 writers with WAL sync on
+// and off: writers encode outside the lock and share one write + one
+// fsync per commit cohort, and head resolution touches only the topic's
+// shard.
 func BenchmarkIngestConcurrentGrouped(b *testing.B) {
 	for _, writers := range []int{8, 16, 32} {
 		for _, walSync := range []bool{false, true} {
 			b.Run(fmt.Sprintf("writers=%d/sync=%v", writers, walSync), func(b *testing.B) {
-				benchIngestConcurrent(b, writers, walSync, false, nil)
+				benchIngestConcurrent(b, writers, walSync, nil)
 			})
 		}
 	}
@@ -1101,20 +1155,21 @@ const dashReadings = 2000
 
 // dashBenchStack builds a Collect-Agent-shaped serving stack: 64 sensors
 // x dashReadings readings in the in-memory backend, write-through invalidation
-// wired when a result cache is supplied, and the REST handler on top.
-func dashBenchStack(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry) (http.Handler, *core.CacheSink, []sensor.Topic) {
+// wired when a result cache is supplied, and the REST handler on top. plain
+// is an uncached, uninstrumented handler over the same stack.
+func dashBenchStack(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry) (h, plain http.Handler, sink *core.CacheSink, topics []sensor.Topic) {
 	b.Helper()
 	nav := navigator.New()
 	caches := cache.NewSet()
 	st := store.New(0)
-	sink := core.NewCacheSink(caches, nav, 16, time.Second)
+	sink = core.NewCacheSink(caches, nav, 16, time.Second)
 	sink.Store = st
 	sink.Results = rc
 	rs := make([]sensor.Reading, dashReadings)
 	for i := range rs {
 		rs[i] = sensor.Reading{Value: float64(i), Time: int64(i) * sec}
 	}
-	topics := make([]sensor.Topic, 64)
+	topics = make([]sensor.Topic, 64)
 	for n := range topics {
 		topics[n] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
 		sink.PushSeries(topics[n], rs)
@@ -1122,6 +1177,7 @@ func dashBenchStack(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry
 	qe := core.NewQueryEngine(nav, caches, st)
 	m := core.NewManager(qe, sink, core.Env{})
 	b.Cleanup(func() { m.Close() })
+	plain = rest.NewHandler(m, qe)
 	if reg != nil {
 		// Full production instrumentation: backend gauges, result-cache
 		// counters, scheduler gauges, per-route HTTP metrics and traces.
@@ -1130,12 +1186,12 @@ func dashBenchStack(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry
 			rc.RegisterMetrics(reg)
 		}
 		m.EnableTelemetry(reg)
-		return rest.NewHandler(m, qe, rest.Options{ResultCache: rc, Metrics: reg}), sink, topics
+		return rest.NewHandler(m, qe, rest.Options{ResultCache: rc, Metrics: reg}), plain, sink, topics
 	}
 	if rc != nil {
-		return rest.NewHandler(m, qe, rest.Options{ResultCache: rc}), sink, topics
+		return rest.NewHandler(m, qe, rest.Options{ResultCache: rc}), plain, sink, topics
 	}
-	return rest.NewHandler(m, qe), sink, topics
+	return plain, plain, sink, topics
 }
 
 // benchDashboardQuery measures the dashboard steady state: one hot
@@ -1143,8 +1199,10 @@ func dashBenchStack(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry
 // repeatedly while a writer keeps ingesting in-order readings beyond
 // the window — the shape where the frontier shortcut keeps the memoized
 // entry valid. One op is one full HTTP round trip through the handler.
+// With a result cache, set-up first checks that the memoized answer is
+// byte-identical to a fresh recompute.
 func benchDashboardQuery(b *testing.B, rc *resultcache.Cache, reg *telemetry.Registry) {
-	h, sink, topics := dashBenchStack(b, rc, reg)
+	h, plain, sink, topics := dashBenchStack(b, rc, reg)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -1162,15 +1220,26 @@ func benchDashboardQuery(b *testing.B, rc *resultcache.Cache, reg *telemetry.Reg
 		}
 	}()
 	target := "/query?op=avg&sensor=/%23&start=0&end=" + strconv.FormatInt((dashReadings-1)*sec, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("GET", target, nil)
+	serve := func(h http.Handler) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
+		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
 		if w.Code != 200 {
 			b.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
+		return w
+	}
+	if rc != nil {
+		// The writer only appends in-order beyond the window, so the
+		// memoized entry (the second request) and a recompute must agree.
+		serve(h)
+		if cached, fresh := serve(h).Body.String(), serve(plain).Body.String(); cached != fresh {
+			b.Fatalf("cached response differs from recompute:\n%s\n%s", cached, fresh)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(h)
 	}
 	b.StopTimer()
 	close(stop)
@@ -1199,7 +1268,7 @@ func BenchmarkDashboardQueryCached(b *testing.B) {
 func benchIngestTelemetry(b *testing.B, on bool) {
 	telemetry.SetEnabled(on)
 	b.Cleanup(func() { telemetry.SetEnabled(true) })
-	benchIngestConcurrent(b, 16, false, false, telemetry.NewRegistry())
+	benchIngestConcurrent(b, 16, false, telemetry.NewRegistry())
 }
 
 func BenchmarkIngestTelemetryOff(b *testing.B) { benchIngestTelemetry(b, false) }

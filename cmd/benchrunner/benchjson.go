@@ -1,1079 +1,339 @@
-// benchjson implements `benchrunner -bench-json <file>`: it re-runs the
-// repository's hot-path benchmark pairs through testing.Benchmark and
-// writes the results as machine-readable JSON, starting the per-PR
-// performance trajectory (BENCH_PR2.json and successors).
-//
-// The workloads deliberately mirror the pairs in the repository's
-// bench_test.go (which, as a test file, cannot be imported here); when
-// changing a workload shape, change both so the JSON trajectory stays
-// comparable to `make bench`.
+// benchjson implements `benchrunner -bench-json <file>`: it builds the
+// repository's root test binary once, runs the acceptance benchmarks of
+// bench_test.go for a fixed number of rounds, and writes the median and
+// quartiles of every reported metric, plus each acceptance ratio computed
+// from the medians, as JSON (the per-PR performance trajectory,
+// BENCH_PR*.json). bench_test.go is the only definition of every
+// workload; answer checks live there as set-up-time b.Fatal calls, so a
+// wrong answer fails the round. The command exits non-zero when a round
+// fails or any acceptance bound is missed.
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
+	"math"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"testing"
-	"time"
-
-	"github.com/dcdb/wintermute/internal/cache"
-	"github.com/dcdb/wintermute/internal/collect"
-	"github.com/dcdb/wintermute/internal/core"
-	"github.com/dcdb/wintermute/internal/core/units"
-	"github.com/dcdb/wintermute/internal/navigator"
-	"github.com/dcdb/wintermute/internal/plugins/aggregator"
-	"github.com/dcdb/wintermute/internal/rest"
-	"github.com/dcdb/wintermute/internal/resultcache"
-	"github.com/dcdb/wintermute/internal/sensor"
-	"github.com/dcdb/wintermute/internal/store"
-	"github.com/dcdb/wintermute/internal/telemetry"
-	"github.com/dcdb/wintermute/internal/transport"
-	"github.com/dcdb/wintermute/internal/tsdb"
+	"strings"
 )
 
-type benchResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
+const (
+	// benchPkg is the package whose test binary holds the suite.
+	benchPkg = "github.com/dcdb/wintermute"
+	// benchRounds is how many times every benchmark runs. Each round is
+	// one process running the whole list, so the two sides of a pair
+	// run back to back and alternate across rounds.
+	benchRounds = 5
+)
+
+// benchNames are the benchmarks every round runs: each acceptance pair
+// plus the hot-path numbers the trajectory tracks.
+var benchNames = []string{
+	"QueryRelativeUnbound", "QueryRelativeBound",
+	"TickComputeScratch", "TickAllQueryContentionBound",
+	"BackendInsertBatchMemory", "BackendInsertBatchTSDB",
+	"BackendRangeMemory", "BackendRangeTSDB",
+	"StorageRecovery",
+	"AggregateNaiveRange", "AggregateEngine",
+	"DownsampleNaiveRange", "DownsampleEngine",
+	"IngestConcurrentGrouped",
+	"DashboardQueryUncached", "DashboardQueryCached",
+	"WildcardExpandIndexed64", "WildcardExpandIndexed4096",
+	"WildcardExpandLinear64", "WildcardExpandLinear4096",
+	"IngestTelemetryOff", "IngestTelemetryOn",
+	"DashboardTelemetryOff", "DashboardTelemetryOn",
+	"PublishUnacked", "PublishAcked",
 }
 
-// storageAcceptance is the PR3 acceptance scenario measured end to end:
-// a persistent backend fed >=100k readings across >=64 topics, flushed,
-// killed without Close, reopened, verified identical — with the
-// amortised on-disk footprint per reading.
-type storageAcceptance struct {
-	Topics          int     `json:"topics"`
-	Readings        int     `json:"readings"`
-	DiskBytes       int64   `json:"disk_bytes"`
-	BytesPerReading float64 `json:"bytes_per_reading"`
-	RecoveryMs      float64 `json:"recovery_ms"`
-	RecoveredSame   bool    `json:"recovered_identical"`
+// medianFunc looks up the median of one benchmark's metric (NaN when
+// the benchmark did not report it).
+type medianFunc func(bench, unit string) float64
+
+// bound is one acceptance criterion over the per-benchmark medians.
+type bound struct {
+	name, expr string
+	value      func(medianFunc) float64
+	op         string // ">=", "<=" or "<" limit
+	limit      float64
 }
 
-// ingestAcceptance is the PR5 acceptance scenario: sustained concurrent
-// InsertBatch throughput at 16 writers with WAL sync enabled, pre-PR
-// path (single-lock WAL, one fsync per batch, global head resolution)
-// vs group-commit WAL + sharded head map (acceptance: >=4x), plus the
-// single-writer sanity pair.
-type ingestAcceptance struct {
-	Writers        int     `json:"writers"`
-	BatchLen       int     `json:"batch_len"`
-	LegacyNsPerOp  float64 `json:"legacy_ns_per_op"`
-	GroupedNsPerOp float64 `json:"grouped_ns_per_op"`
-	Speedup        float64 `json:"speedup"`
-	SyncEnabled    bool    `json:"wal_sync"`
+func metric(bench, unit string) func(medianFunc) float64 {
+	return func(med medianFunc) float64 { return med(bench, unit) }
 }
 
-// aggAcceptance is the PR4 acceptance scenario: an aggregate over 100k+
-// readings across 64 topics answered by the chunk-metadata engine vs
-// the naive Range+reduce path, with the measured speedup and allocation
-// ratio (acceptance: >=5x and >=10x) and a result-equivalence check.
-type aggAcceptance struct {
-	Topics       int     `json:"topics"`
-	Readings     int     `json:"readings"`
-	NaiveNsPerOp float64 `json:"naive_ns_per_op"`
-	NaiveAllocs  int64   `json:"naive_allocs_per_op"`
-	EngineNs     float64 `json:"engine_ns_per_op"`
-	EngineAllocs int64   `json:"engine_allocs_per_op"`
-	Speedup      float64 `json:"speedup"`
-	AllocRatio   float64 `json:"alloc_ratio"`
-	Equivalent   bool    `json:"results_equivalent"`
+func ratio(num, den, unit string) func(medianFunc) float64 {
+	return func(med medianFunc) float64 {
+		n, d := med(num, unit), med(den, unit)
+		if d == 0 {
+			return n // an allocation-free side: report the other side's count
+		}
+		return n / d
+	}
 }
 
-// servingAcceptance is the PR7 acceptance scenario: a hot dashboard
-// wildcard aggregate (64 sensors, step-aligned absolute window) served
-// end to end through the REST handler while a writer keeps ingesting
-// in-order readings beyond the window — uncached recompute vs the
-// result cache revalidated against the ingest frontier (acceptance:
-// >=5x, responses byte-identical), plus '#' expansion of one 8-sensor
-// rack with the sorted prefix index vs the linear fallback at 64- and
-// 4096-topic namespaces (acceptance: indexed cost independent of
-// namespace size).
-type servingAcceptance struct {
-	Topics           int     `json:"topics"`
-	ReadingsPerTopic int     `json:"readings_per_topic"`
-	UncachedNsPerOp  float64 `json:"uncached_ns_per_op"`
-	CachedNsPerOp    float64 `json:"cached_ns_per_op"`
-	Speedup          float64 `json:"speedup"`
-	Equivalent       bool    `json:"responses_equivalent"`
-	Indexed64Ns      float64 `json:"wildcard_indexed_64_ns"`
-	Indexed4096Ns    float64 `json:"wildcard_indexed_4096_ns"`
-	IndexedRatio     float64 `json:"wildcard_indexed_ratio"`
-	Linear64Ns       float64 `json:"wildcard_linear_64_ns"`
-	Linear4096Ns     float64 `json:"wildcard_linear_4096_ns"`
-	LinearRatio      float64 `json:"wildcard_linear_ratio"`
+func overheadPct(off, on string) func(medianFunc) float64 {
+	return func(med medianFunc) float64 {
+		o := med(off, "ns/op")
+		return (med(on, "ns/op") - o) / o * 100
+	}
 }
 
-// telemetryAcceptance pins the PR8 self-telemetry overhead bound: the
-// instrumented hot paths (the PR5 grouped-ingest shape and the PR7
-// cached dashboard round trip) re-run with a registry attached, once
-// with the global telemetry switch off and once on. Acceptance: the on
-// side within 2% of the off side on both scenarios.
-type telemetryAcceptance struct {
-	IngestOffNsPerOp     float64 `json:"ingest_off_ns_per_op"`
-	IngestOnNsPerOp      float64 `json:"ingest_on_ns_per_op"`
-	IngestOverheadPct    float64 `json:"ingest_overhead_pct"`
-	DashboardOffNsPerOp  float64 `json:"dashboard_off_ns_per_op"`
-	DashboardOnNsPerOp   float64 `json:"dashboard_on_ns_per_op"`
-	DashboardOverheadPct float64 `json:"dashboard_overhead_pct"`
+var bounds = []bound{
+	{name: "aggregate_speedup", expr: "AggregateNaiveRange / AggregateEngine ns/op",
+		value: ratio("BenchmarkAggregateNaiveRange", "BenchmarkAggregateEngine", "ns/op"), op: ">=", limit: 5},
+	{name: "aggregate_alloc_ratio", expr: "AggregateNaiveRange / AggregateEngine allocs/op",
+		value: ratio("BenchmarkAggregateNaiveRange", "BenchmarkAggregateEngine", "allocs/op"), op: ">=", limit: 10},
+	{name: "dashboard_cached_speedup", expr: "DashboardQueryUncached / DashboardQueryCached ns/op",
+		value: ratio("BenchmarkDashboardQueryUncached", "BenchmarkDashboardQueryCached", "ns/op"), op: ">=", limit: 5},
+	{name: "wildcard_indexed_ratio", expr: "WildcardExpandIndexed4096 / WildcardExpandIndexed64 ns/op",
+		value: ratio("BenchmarkWildcardExpandIndexed4096", "BenchmarkWildcardExpandIndexed64", "ns/op"), op: "<=", limit: 4},
+	{name: "ingest_telemetry_overhead_pct", expr: "IngestTelemetryOn vs IngestTelemetryOff ns/op",
+		value: overheadPct("BenchmarkIngestTelemetryOff", "BenchmarkIngestTelemetryOn"), op: "<=", limit: 2},
+	{name: "dashboard_telemetry_overhead_pct", expr: "DashboardTelemetryOn vs DashboardTelemetryOff ns/op",
+		value: overheadPct("BenchmarkDashboardTelemetryOff", "BenchmarkDashboardTelemetryOn"), op: "<=", limit: 2},
+	{name: "publish_acked_overhead_pct", expr: "PublishAcked vs PublishUnacked ns/op",
+		value: overheadPct("BenchmarkPublishUnacked", "BenchmarkPublishAcked"), op: "<=", limit: 5},
+	{name: "storage_bytes_per_reading", expr: "StorageRecovery B/reading",
+		value: metric("BenchmarkStorageRecovery", "B/reading"), op: "<", limit: 4},
 }
 
-// deliveryAcceptance pins the PR10 at-least-once overhead bound: the
-// publish->local-delivery pair, fire-and-forget v1 frames vs the
-// spooled acked v2 path, on a healthy connection (acceptance: acked
-// within 5% of unacked), with the acked side's drain bookkeeping —
-// every published batch acknowledged, Close returning clean.
-type deliveryAcceptance struct {
-	UnackedNsPerOp float64 `json:"unacked_ns_per_op"`
-	AckedNsPerOp   float64 `json:"acked_ns_per_op"`
-	OverheadPct    float64 `json:"overhead_pct"`
-	AckedBatches   uint64  `json:"acked_batches"`
-	CleanDrain     bool    `json:"clean_drain"`
+// summary is one metric of one benchmark across every round.
+type summary struct {
+	Median float64   `json:"median"`
+	Q1     float64   `json:"q1"`
+	Q3     float64   `json:"q3"`
+	Runs   []float64 `json:"runs"`
+}
+
+type benchSummary struct {
+	Name    string              `json:"name"`
+	Metrics map[string]*summary `json:"metrics"`
+}
+
+type acceptanceResult struct {
+	Name  string  `json:"name"`
+	Expr  string  `json:"expr"`
+	Value float64 `json:"value"`
+	Bound string  `json:"bound"`
+	Pass  bool    `json:"pass"`
 }
 
 type benchReport struct {
-	PR          int                  `json:"pr"`
-	Note        string               `json:"note"`
-	Benchmarks  []benchResult        `json:"benchmarks"`
-	Storage     *storageAcceptance   `json:"storage,omitempty"`
-	Aggregation *aggAcceptance       `json:"aggregation,omitempty"`
-	Ingest      *ingestAcceptance    `json:"ingest,omitempty"`
-	Serving     *servingAcceptance   `json:"serving,omitempty"`
-	Telemetry   *telemetryAcceptance `json:"telemetry,omitempty"`
-	Delivery    *deliveryAcceptance  `json:"delivery,omitempty"`
-}
-
-const benchSec = int64(time.Second)
-
-// warmCache fills one cache with 180 s of ramp history in a single
-// batched store.
-func warmCache(c *cache.Cache) {
-	rs := make([]sensor.Reading, 180)
-	for k := range rs {
-		rs[k] = sensor.Reading{Value: float64(k), Time: int64(k) * benchSec}
-	}
-	c.StoreBatch(rs)
-}
-
-// queryEnv builds one warm cached sensor.
-func queryEnv() *core.QueryEngine {
-	nav := navigator.New()
-	caches := cache.NewSet()
-	_ = nav.AddSensor("/n/power")
-	warmCache(caches.GetOrCreate("/n/power", 180, time.Second))
-	return core.NewQueryEngine(nav, caches, nil)
-}
-
-// tickEnv builds an aggregator over 64 warm node units.
-func tickEnv(nodes int) (*core.QueryEngine, *aggregator.Operator, core.Sink, error) {
-	nav := navigator.New()
-	caches := cache.NewSet()
-	for n := 0; n < nodes; n++ {
-		topic := sensor.Topic(fmt.Sprintf("/r1/n%02d/power", n))
-		if err := nav.AddSensor(topic); err != nil {
-			return nil, nil, nil, err
-		}
-		warmCache(caches.GetOrCreate(topic, 180, time.Second))
-	}
-	qe := core.NewQueryEngine(nav, caches, nil)
-	op, err := aggregator.New(aggregator.Config{
-		OperatorConfig: core.OperatorConfig{
-			Name:    "agg",
-			Inputs:  []string{"power"},
-			Outputs: []string{"<bottomup>power-agg"},
-		},
-		Operation: aggregator.Mean,
-		WindowMs:  60000,
-	}, qe)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return qe, op, core.SinkFunc(func(sensor.Topic, sensor.Reading) {}), nil
-}
-
-// legacyOnly strips every optional interface off an operator, forcing the
-// tick path onto the allocating Compute shim — the before side of the
-// scratch-arena pair.
-type legacyOnly struct{ core.Operator }
-
-// linearScanBackend hides the in-memory store's PrefixMatcher, forcing
-// the dispatcher onto the filter-everything fallback — the before side
-// of the wildcard-expansion pair.
-type linearScanBackend struct{ store.Backend }
-
-// queryProbeOp mirrors the repository bench suite's contention probe
-// without the fixed probe latency: per-unit cache queries against the
-// shared sharded set. legacy selects the unbound, allocating path.
-type queryProbeOp struct {
-	*core.Base
-	queries int
-	legacy  bool
-}
-
-func (o *queryProbeOp) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	if !o.legacy {
-		return o.computeBound(qe, u, now, core.NewTickContext())
-	}
-	buf := make([]sensor.Reading, 0, 256)
-	for q := 0; q < o.queries; q++ {
-		buf = qe.QueryRelative(u.Inputs[q%len(u.Inputs)], 100*time.Second, buf[:0])
-	}
-	outs := make([]core.Output, 0, len(u.Outputs))
-	for _, topic := range u.Outputs {
-		outs = append(outs, core.Output{Topic: topic, Reading: sensor.At(float64(len(buf)), now)})
-	}
-	return outs, nil
-}
-
-// ComputeInto implements core.ContextOperator; the legacy variant opts
-// back out by delegating to the allocating path.
-func (o *queryProbeOp) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
-	if o.legacy {
-		return o.Compute(qe, u, now)
-	}
-	return o.computeBound(qe, u, now, tc)
-}
-
-func (o *queryProbeOp) computeBound(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
-	bu := qe.BindUnit(u)
-	buf := tc.Readings
-	for q := 0; q < o.queries; q++ {
-		buf = bu.Inputs[q%len(u.Inputs)].QueryRelative(100*time.Second, buf[:0])
-	}
-	tc.Readings = buf
-	outs := tc.Outputs[:0]
-	for _, topic := range u.Outputs {
-		outs = append(outs, core.Output{Topic: topic, Reading: sensor.At(float64(len(buf)), now)})
-	}
-	tc.Outputs = outs
-	return outs, nil
-}
-
-// contentionEnv builds the TickAll contention workload of the repository
-// bench suite — 8 parallel-unit operators over 16 shared node sensors on
-// an 8-thread pool — with the chosen computation path.
-func contentionEnv(legacy bool) (*core.Manager, error) {
-	nav := navigator.New()
-	caches := cache.NewSet()
-	for n := 0; n < 16; n++ {
-		topic := sensor.Topic(fmt.Sprintf("/r1/n%02d/power", n))
-		if err := nav.AddSensor(topic); err != nil {
-			return nil, err
-		}
-		warmCache(caches.GetOrCreate(topic, 180, time.Second))
-	}
-	qe := core.NewQueryEngine(nav, caches, nil)
-	sink := core.NewCacheSink(caches, nav, 180, time.Second)
-	m := core.NewManager(qe, sink, core.Env{})
-	m.SetThreads(8)
-	for i := 0; i < 8; i++ {
-		oc := core.OperatorConfig{
-			Name:     fmt.Sprintf("probe%d", i),
-			Inputs:   []string{"power"},
-			Outputs:  []string{fmt.Sprintf("<bottomup>probe%d", i)},
-			Parallel: true,
-		}
-		base, err := oc.Build("benchprobe", qe.Navigator())
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		op := &queryProbeOp{Base: base, queries: 25, legacy: legacy}
-		if err := m.AdoptOperator(op); err != nil {
-			m.Close()
-			return nil, err
-		}
-	}
-	return m, nil
+	PR         int                `json:"pr"`
+	Note       string             `json:"note"`
+	Rounds     int                `json:"rounds"`
+	CPU        string             `json:"cpu"`
+	NumCPU     int                `json:"num_cpu"`
+	GoVersion  string             `json:"go_version"`
+	Benchmarks []benchSummary     `json:"benchmarks"`
+	Acceptance []acceptanceResult `json:"acceptance"`
 }
 
 func runBenchJSON(path string) error {
-	report := benchReport{
-		PR: 10,
-		Note: "paired hot-path benchmarks: unbound vs bound QueryRelative, " +
-			"legacy Compute vs ComputeInto scratch arenas (64-unit aggregator tick), " +
-			"TickAll query contention (8 ops x 16 parallel units, 8-thread pool) legacy vs bound, " +
-			"the PR3 storage pairs (in-memory store vs tsdb insert/range, crash recovery, " +
-			"100k-reading/64-topic on-disk footprint), the PR4 aggregation pairs " +
-			"(naive Range+reduce vs the chunk-metadata aggregation engine, with the " +
-			"100k-reading/64-topic aggregate acceptance scenario), the PR5 ingest " +
-			"pairs: pre-PR single-lock WAL (one fsync per batch) vs group-commit WAL + " +
-			"sharded heads at 8/16/32 concurrent writers, sync on and off, with the " +
-			"16-writer sync-enabled acceptance scenario, and the PR7 dashboard " +
-			"read-path pairs: uncached vs result-cached wildcard aggregates over a " +
-			"64-sensor/2000-reading corpus under live in-order ingest, indexed vs " +
-			"linear '#' expansion at 64- and 4096-topic namespaces, and the PR8 " +
-			"telemetry overhead pairs: the ingest and cached-dashboard scenarios " +
-			"re-run fully instrumented with the global telemetry switch off vs on, " +
-			"and the PR10 delivery pair: publish->local-delivery through the broker " +
-			"with the fire-and-forget client vs the spooled acked client (v2 frames, " +
-			"PubAcks, redelivery bookkeeping), bounding the no-fault ack overhead",
-	}
-	add := func(name string, fn func(b *testing.B)) benchResult {
-		r := testing.Benchmark(fn)
-		res := benchResult{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
-		report.Benchmarks = append(report.Benchmarks, res)
-		fmt.Printf("  %-28s %12.1f ns/op %8d B/op %6d allocs/op\n",
-			name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-		return res
-	}
-
-	fmt.Println("==> bench-json: query hot path")
-	qe := queryEnv()
-	add("query_relative_unbound", func(b *testing.B) {
-		buf := make([]sensor.Reading, 0, 256)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = qe.QueryRelative("/n/power", 60*time.Second, buf[:0])
-		}
-		_ = buf
-	})
-	h := qe.Bind("/n/power")
-	add("query_relative_bound", func(b *testing.B) {
-		buf := make([]sensor.Reading, 0, 256)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = h.QueryRelative(60*time.Second, buf[:0])
-		}
-		_ = buf
-	})
-
-	tqe, op, sink, err := tickEnv(64)
-	if err != nil {
-		return err
-	}
-	now := time.Unix(179, 0)
-	add("tick_compute_legacy", func(b *testing.B) {
-		lop := legacyOnly{op}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := core.Tick(lop, tqe, sink, now); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("tick_compute_scratch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := core.Tick(op, tqe, sink, now); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	for _, variant := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"tickall_query_contention_legacy", true},
-		{"tickall_query_contention_bound", false},
-	} {
-		m, err := contentionEnv(variant.legacy)
-		if err != nil {
-			return err
-		}
-		add(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := m.TickAll(now); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		m.Close()
-	}
-
-	fmt.Println("==> bench-json: storage backend (memory vs tsdb)")
-	benchSeries := func(n, offset int) []sensor.Reading {
-		rng := rand.New(rand.NewSource(7))
-		rs := make([]sensor.Reading, n)
-		for i := range rs {
-			rs[i] = sensor.Reading{
-				Value: 100 + float64(i%23) + float64(rng.Intn(5)),
-				Time:  int64(offset+i) * benchSec,
-			}
-		}
-		return rs
-	}
-	tmp, err := os.MkdirTemp("", "wintermute-bench-tsdb-")
+	tmp, err := os.MkdirTemp("", "wintermute-bench-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-
-	add("backend_insert_batch_memory", func(b *testing.B) {
-		st := store.New(0)
-		batch := benchSeries(64, 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				batch[j].Time = int64(i*64+j) * benchSec
-			}
-			st.InsertBatch("/n/power", batch)
+	bin := filepath.Join(tmp, "bench.test")
+	build := exec.Command("go", "test", "-c", "-o", bin, benchPkg)
+	build.Stdout, build.Stderr = os.Stdout, os.Stderr
+	if err := build.Run(); err != nil {
+		return fmt.Errorf("building the benchmark binary: %w", err)
+	}
+	pattern := "^Benchmark(" + strings.Join(benchNames, "|") + ")$"
+	samples := map[string]map[string][]float64{}
+	var cpu string
+	for r := 1; r <= benchRounds; r++ {
+		fmt.Printf("==> bench-json: round %d/%d\n", r, benchRounds)
+		var out bytes.Buffer
+		cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", pattern, "-test.benchmem")
+		cmd.Stdout = io.MultiWriter(os.Stdout, &out)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			return fmt.Errorf("round %d: %w", r, err)
 		}
-	})
-	insertRun := 0
-	add("backend_insert_batch_tsdb", func(b *testing.B) {
-		// A fresh directory per escalation run, and Close (which flushes
-		// everything inserted, cost scaling with b.N) outside the timed
-		// window — otherwise each run would pay for the previous run's
-		// segments and the flush would pollute the insert ns/op.
-		insertRun++
-		db, err := tsdb.Open(fmt.Sprintf("%s/insert%d", tmp, insertRun),
-			tsdb.Options{FlushEvery: -1})
+		c, err := parseBenchOutput(&out, samples)
 		if err != nil {
-			b.Fatal(err)
+			return fmt.Errorf("round %d: %w", r, err)
 		}
-		batch := benchSeries(64, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				batch[j].Time = int64(i*64+j) * benchSec
-			}
-			db.InsertBatch("/n/power", batch)
-		}
-		b.StopTimer()
-		db.Close()
-		b.StartTimer()
-	})
-	add("backend_range_memory", func(b *testing.B) {
-		st := store.New(0)
-		st.InsertBatch("/n/power", benchSeries(100000, 0))
-		buf := make([]sensor.Reading, 0, 512)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = st.Range("/n/power", 50000*benchSec, 50300*benchSec, buf[:0])
-		}
-		_ = buf
-	})
-	rangeDB, err := tsdb.Open(tmp+"/range", tsdb.Options{FlushEvery: -1})
+		cpu = c
+	}
+	report := benchReport{
+		PR: 12,
+		Note: "bench_test.go acceptance benchmarks, median and quartiles over interleaved rounds; " +
+			"answer checks (aggregate = naive, cached = uncached bytes, recovered answers identical, " +
+			"clean spool drain) fail the round",
+		Rounds:    benchRounds,
+		CPU:       cpu,
+		NumCPU:    runtime.NumCPU(),
+		GoVersion: runtime.Version(),
+	}
+	if missing := missingBenchmarks(samples); len(missing) > 0 {
+		return fmt.Errorf("no results for %s", strings.Join(missing, ", "))
+	}
+	report.Benchmarks, err = summarize(samples, benchRounds)
 	if err != nil {
 		return err
 	}
-	rangeDB.InsertBatch("/n/power", benchSeries(100000, 0))
-	if err := rangeDB.Flush(); err != nil {
+	if report.Acceptance, err = evaluate(report.Benchmarks); err != nil {
 		return err
 	}
-	add("backend_range_tsdb_segment", func(b *testing.B) {
-		buf := make([]sensor.Reading, 0, 512)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = rangeDB.Range("/n/power", 50000*benchSec, 50300*benchSec, buf[:0])
-		}
-		_ = buf
-	})
-	rangeDB.Close()
-
-	fmt.Println("==> bench-json: aggregation (naive Range+reduce vs chunk-metadata engine)")
-	const aggTopicCount, aggPerTopic = 64, 1600
-	aggDB, err := tsdb.Open(tmp+"/agg", tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		return err
-	}
-	aggTopics := make([]sensor.Topic, aggTopicCount)
-	aggRS := benchSeries(aggPerTopic, 0)
-	for n := range aggTopics {
-		aggTopics[n] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
-		aggDB.InsertBatch(aggTopics[n], aggRS)
-	}
-	if err := aggDB.Flush(); err != nil {
-		return err
-	}
-	aggWindowHi := int64(aggPerTopic) * benchSec
-	wantCount := int64(aggTopicCount * aggPerTopic)
-	naive := add("aggregate_naive_range", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var total store.AggResult
-			for _, tp := range aggTopics {
-				total.Merge(store.AggregateNaive(aggDB, tp, 0, aggWindowHi))
-			}
-			if total.Count != wantCount {
-				b.Fatalf("aggregated %d readings", total.Count)
-			}
-		}
-	})
-	engine := add("aggregate_engine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var total store.AggResult
-			for _, tp := range aggTopics {
-				total.Merge(aggDB.Aggregate(tp, 0, aggWindowHi))
-			}
-			if total.Count != wantCount {
-				b.Fatalf("aggregated %d readings", total.Count)
-			}
-		}
-	})
-	add("downsample_naive_range", func(b *testing.B) {
-		var buckets []store.Bucket
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buckets = store.DownsampleNaive(aggDB, aggTopics[i%len(aggTopics)], 0, aggWindowHi, 60*benchSec, buckets[:0])
-		}
-		_ = buckets
-	})
-	add("downsample_engine", func(b *testing.B) {
-		var buckets []store.Bucket
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buckets = aggDB.Downsample(aggTopics[i%len(aggTopics)], 0, aggWindowHi, 60*benchSec, buckets[:0])
-		}
-		_ = buckets
-	})
-	// Equivalence: the engine must answer exactly like the reference on
-	// full, boundary and bucketed windows of the corpus.
-	equivalent := true
-	for _, tp := range aggTopics {
-		for _, w := range [][2]int64{{0, aggWindowHi}, {137 * benchSec, 731 * benchSec}} {
-			if aggDB.Aggregate(tp, w[0], w[1]) != store.AggregateNaive(aggDB, tp, w[0], w[1]) {
-				equivalent = false
-			}
-		}
-		gotB := aggDB.Downsample(tp, 0, aggWindowHi, 60*benchSec, nil)
-		wantB := store.DownsampleNaive(aggDB, tp, 0, aggWindowHi, 60*benchSec, nil)
-		if len(gotB) != len(wantB) {
-			equivalent = false
-		} else {
-			for i := range gotB {
-				if gotB[i] != wantB[i] {
-					equivalent = false
-				}
-			}
-		}
-	}
-	aggAcc := &aggAcceptance{
-		Topics:       aggTopicCount,
-		Readings:     aggTopicCount * aggPerTopic,
-		NaiveNsPerOp: naive.NsPerOp,
-		NaiveAllocs:  naive.AllocsPerOp,
-		EngineNs:     engine.NsPerOp,
-		EngineAllocs: engine.AllocsPerOp,
-		Speedup:      naive.NsPerOp / engine.NsPerOp,
-		Equivalent:   equivalent,
-	}
-	if engine.AllocsPerOp > 0 {
-		aggAcc.AllocRatio = float64(naive.AllocsPerOp) / float64(engine.AllocsPerOp)
-	} else {
-		aggAcc.AllocRatio = float64(naive.AllocsPerOp)
-	}
-	report.Aggregation = aggAcc
-	fmt.Printf("  acceptance: %d readings / %d topics, %.1fx faster, %.0fx fewer allocs, equivalent=%v\n",
-		aggAcc.Readings, aggAcc.Topics, aggAcc.Speedup, aggAcc.AllocRatio, aggAcc.Equivalent)
-	if aggAcc.Speedup < 5 || aggAcc.AllocRatio < 10 || !aggAcc.Equivalent {
-		fmt.Printf("  WARNING: aggregation acceptance bounds missed (need >=5x ns, >=10x allocs, equivalence)\n")
-	}
-	if err := aggDB.Close(); err != nil {
-		return err
-	}
-
-	fmt.Println("==> bench-json: concurrent ingest (single-lock WAL vs group commit)")
-	ingestDir := 0
-	benchIngest := func(writers int, walSync, legacy bool, reg *telemetry.Registry) func(b *testing.B) {
-		return func(b *testing.B) {
-			ingestDir++
-			db, err := tsdb.Open(fmt.Sprintf("%s/ingest%d", tmp, ingestDir), tsdb.Options{
-				FlushEvery:   -1,
-				WALSync:      walSync,
-				LegacyIngest: legacy,
-				Metrics:      reg,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			proto := benchSeries(64, 0)
-			topics := make([]sensor.Topic, writers)
-			for w := range topics {
-				topics[w] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", w/8, w%8))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					batch := make([]sensor.Reading, len(proto))
-					copy(batch, proto)
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						for j := range batch {
-							batch[j].Time = (i*64 + int64(j)) * benchSec
-						}
-						db.InsertBatch(topics[w], batch)
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			db.Close()
-			b.StartTimer()
-		}
-	}
-	var legacy16, grouped16 benchResult
-	for _, writers := range []int{8, 16, 32} {
-		for _, walSync := range []bool{false, true} {
-			tag := "nosync"
-			if walSync {
-				tag = "sync"
-			}
-			l := add(fmt.Sprintf("ingest_concurrent_legacy_%dw_%s", writers, tag),
-				benchIngest(writers, walSync, true, nil))
-			g := add(fmt.Sprintf("ingest_concurrent_grouped_%dw_%s", writers, tag),
-				benchIngest(writers, walSync, false, nil))
-			if writers == 16 && walSync {
-				legacy16, grouped16 = l, g
-			}
-		}
-	}
-	ingestAcc := &ingestAcceptance{
-		Writers:        16,
-		BatchLen:       64,
-		LegacyNsPerOp:  legacy16.NsPerOp,
-		GroupedNsPerOp: grouped16.NsPerOp,
-		Speedup:        legacy16.NsPerOp / grouped16.NsPerOp,
-		SyncEnabled:    true,
-	}
-	report.Ingest = ingestAcc
-	fmt.Printf("  acceptance: 16 writers, WAL sync on: %.1fx sustained insert throughput vs pre-PR path\n",
-		ingestAcc.Speedup)
-	if ingestAcc.Speedup < 4 {
-		fmt.Printf("  WARNING: ingest acceptance bound missed (need >=4x at 16 writers with sync)\n")
-	}
-
-	fmt.Println("==> bench-json: dashboard read path (result cache + wildcard index)")
-	// Mirrors the DashboardQuery pair in bench_test.go: one serving stack
-	// (in-memory backend, write-through invalidation, REST handler) with
-	// a plain and a cached handler over the same corpus, a background
-	// writer appending in-order readings beyond the hot window, and one
-	// op = one full HTTP round trip.
-	const dashTopics, dashReadings = 64, 2000
-	dashNav := navigator.New()
-	dashCaches := cache.NewSet()
-	dashStore := store.New(0)
-	dashRC := resultcache.New(1024, 0)
-	dashSink := core.NewCacheSink(dashCaches, dashNav, 16, time.Second)
-	dashSink.Store = dashStore
-	dashSink.Results = dashRC
-	dashRS := make([]sensor.Reading, dashReadings)
-	for i := range dashRS {
-		dashRS[i] = sensor.Reading{Value: float64(i), Time: int64(i) * benchSec}
-	}
-	dashTopicList := make([]sensor.Topic, dashTopics)
-	for n := range dashTopicList {
-		dashTopicList[n] = sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8))
-		dashSink.PushSeries(dashTopicList[n], dashRS)
-	}
-	dashQE := core.NewQueryEngine(dashNav, dashCaches, dashStore)
-	dashMgr := core.NewManager(dashQE, dashSink, core.Env{})
-	plainHandler := rest.NewHandler(dashMgr, dashQE)
-	cachedHandler := rest.NewHandler(dashMgr, dashQE, rest.Options{ResultCache: dashRC})
-	dashStop := make(chan struct{})
-	dashDone := make(chan struct{})
-	dashOuts := make([]core.Output, len(dashTopicList))
-	for n, tp := range dashTopicList {
-		dashOuts[n] = core.Output{Topic: tp, Reading: sensor.Reading{Value: 1}}
-	}
-	go func() {
-		defer close(dashDone)
-		for t := int64(dashReadings); ; t++ {
-			select {
-			case <-dashStop:
-				return
-			default:
-			}
-			for n := range dashOuts {
-				dashOuts[n].Reading.Time = t * benchSec
-			}
-			dashSink.PushBatch(dashOuts)
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	dashTarget := "/query?op=avg&sensor=/%23&start=0&end=" +
-		strconv.FormatInt((dashReadings-1)*benchSec, 10)
-	dashServe := func(h http.Handler) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", dashTarget, nil)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		return w
-	}
-	dashBench := func(h http.Handler) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if w := dashServe(h); w.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.Code, w.Body.String())
-				}
-			}
-		}
-	}
-	uncached := add("dashboard_query_uncached", dashBench(plainHandler))
-	cachedRes := add("dashboard_query_cached", dashBench(cachedHandler))
-	// The writer only appends in-order beyond the window, so a fresh
-	// recompute and the memoized entry must agree byte for byte.
-	dashEquivalent := dashServe(plainHandler).Body.String() == dashServe(cachedHandler).Body.String()
-	close(dashStop)
-	<-dashDone
-	dashMgr.Close()
-
-	expandEnv := func(n int, indexed bool) store.Backend {
-		st := store.New(0)
-		for i := 0; i < n; i++ {
-			//lint:ignore batchinsert one reading per distinct topic to populate the namespace; batches are per-topic, so no batch can form
-			st.Insert(sensor.Topic(fmt.Sprintf("/r%03d/n%d/power", i/8, i%8)),
-				sensor.Reading{Value: 1, Time: 1})
-		}
-		if indexed {
-			return st
-		}
-		return linearScanBackend{st}
-	}
-	expandBench := func(be store.Backend) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := store.TopicsPrefix(be, "/r000"); len(got) != 8 {
-					b.Fatalf("%d matches", len(got))
-				}
-			}
-		}
-	}
-	idx64 := add("wildcard_expand_indexed_64", expandBench(expandEnv(64, true)))
-	idx4096 := add("wildcard_expand_indexed_4096", expandBench(expandEnv(4096, true)))
-	lin64 := add("wildcard_expand_linear_64", expandBench(expandEnv(64, false)))
-	lin4096 := add("wildcard_expand_linear_4096", expandBench(expandEnv(4096, false)))
-	servingAcc := &servingAcceptance{
-		Topics:           dashTopics,
-		ReadingsPerTopic: dashReadings,
-		UncachedNsPerOp:  uncached.NsPerOp,
-		CachedNsPerOp:    cachedRes.NsPerOp,
-		Speedup:          uncached.NsPerOp / cachedRes.NsPerOp,
-		Equivalent:       dashEquivalent,
-		Indexed64Ns:      idx64.NsPerOp,
-		Indexed4096Ns:    idx4096.NsPerOp,
-		IndexedRatio:     idx4096.NsPerOp / idx64.NsPerOp,
-		Linear64Ns:       lin64.NsPerOp,
-		Linear4096Ns:     lin4096.NsPerOp,
-		LinearRatio:      lin4096.NsPerOp / lin64.NsPerOp,
-	}
-	report.Serving = servingAcc
-	fmt.Printf("  acceptance: cached dashboard query %.1fx faster, equivalent=%v; "+
-		"indexed expansion 64->4096 topics %.1fx (linear fallback %.0fx)\n",
-		servingAcc.Speedup, servingAcc.Equivalent, servingAcc.IndexedRatio, servingAcc.LinearRatio)
-	if servingAcc.Speedup < 5 || !servingAcc.Equivalent {
-		fmt.Printf("  WARNING: serving acceptance bounds missed (need >=5x cached speedup and byte-equivalent responses)\n")
-	}
-	if servingAcc.IndexedRatio > 4 {
-		fmt.Printf("  WARNING: indexed wildcard expansion not size-independent (64->4096 ratio %.1fx > 4x)\n",
-			servingAcc.IndexedRatio)
-	}
-
-	fmt.Println("==> bench-json: telemetry overhead (instrumented hot paths, switch off vs on)")
-	// Both scenarios run with the registry fully attached so the off side
-	// executes every instrumented call site and pays exactly the
-	// one-atomic-load gate the disabled path promises. Ingest uses the
-	// grouped 16-writer no-sync shape — the configuration with the
-	// smallest fixed per-batch cost, where instrumentation overhead is
-	// proportionally largest.
-	telemetry.SetEnabled(false)
-	ingestOff := add("ingest_telemetry_off", benchIngest(16, false, false, telemetry.NewRegistry()))
-	telemetry.SetEnabled(true)
-	ingestOn := add("ingest_telemetry_on", benchIngest(16, false, false, telemetry.NewRegistry()))
-	// The dashboard pair re-runs the PR7 cached round trip through a
-	// serving stack with per-route HTTP metrics, request traces and
-	// result-cache/backend/scheduler series registered. No background
-	// writer here: a steady corpus keeps the off/on delta clean.
-	dashTelemetry := func(on bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			telemetry.SetEnabled(on)
-			defer telemetry.SetEnabled(true)
-			reg := telemetry.NewRegistry()
-			nav := navigator.New()
-			caches := cache.NewSet()
-			st := store.New(0)
-			rc := resultcache.New(1024, 0)
-			sink := core.NewCacheSink(caches, nav, 16, time.Second)
-			sink.Store = st
-			sink.Results = rc
-			for n := 0; n < dashTopics; n++ {
-				sink.PushSeries(sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", n/8, n%8)), dashRS)
-			}
-			qe := core.NewQueryEngine(nav, caches, st)
-			m := core.NewManager(qe, sink, core.Env{})
-			defer m.Close()
-			store.RegisterBackendMetrics(reg, st)
-			rc.RegisterMetrics(reg)
-			m.EnableTelemetry(reg)
-			h := rest.NewHandler(m, qe, rest.Options{ResultCache: rc, Metrics: reg})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if w := dashServe(h); w.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.Code, w.Body.String())
-				}
-			}
-		}
-	}
-	dashOff := add("dashboard_telemetry_off", dashTelemetry(false))
-	dashOn := add("dashboard_telemetry_on", dashTelemetry(true))
-	telemetryAcc := &telemetryAcceptance{
-		IngestOffNsPerOp:     ingestOff.NsPerOp,
-		IngestOnNsPerOp:      ingestOn.NsPerOp,
-		IngestOverheadPct:    (ingestOn.NsPerOp - ingestOff.NsPerOp) / ingestOff.NsPerOp * 100,
-		DashboardOffNsPerOp:  dashOff.NsPerOp,
-		DashboardOnNsPerOp:   dashOn.NsPerOp,
-		DashboardOverheadPct: (dashOn.NsPerOp - dashOff.NsPerOp) / dashOff.NsPerOp * 100,
-	}
-	report.Telemetry = telemetryAcc
-	fmt.Printf("  acceptance: telemetry overhead ingest %+.2f%%, dashboard %+.2f%%\n",
-		telemetryAcc.IngestOverheadPct, telemetryAcc.DashboardOverheadPct)
-	if telemetryAcc.IngestOverheadPct > 2 || telemetryAcc.DashboardOverheadPct > 2 {
-		fmt.Printf("  WARNING: telemetry acceptance bound missed (need <=2%% overhead on both scenarios)\n")
-	}
-
-	fmt.Println("==> bench-json: delivery (fire-and-forget vs acked spool)")
-	// Mirrors the PublishUnacked/PublishAcked pair in bench_test.go:
-	// publishes are pipelined (the production shape: pushers never wait
-	// per batch) and one op is one batch fully delivered, with the acked
-	// side additionally paying v2 framing, the broker's PubAck and the
-	// client's spool/ack bookkeeping.
-	var ackedStats transport.ClientStats
-	ackedDrainClean := false
-	benchDelivery := func(spool int) func(b *testing.B) {
-		return func(b *testing.B) {
-			broker, err := transport.NewBroker("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer broker.Close()
-			target := int64(b.N)
-			var delivered atomic.Int64
-			done := make(chan struct{}, 1)
-			broker.SubscribeLocal("#", func(m transport.Message) {
-				if delivered.Add(1) == target {
-					done <- struct{}{}
-				}
-			})
-			var client *transport.Client
-			if spool > 0 {
-				client, err = transport.DialOptions(broker.Addr(), transport.Options{SpoolBatches: spool})
-			} else {
-				client, err = transport.Dial(broker.Addr())
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := make([]sensor.Reading, 10)
-			for i := range batch {
-				batch[i] = sensor.Reading{Value: float64(i), Time: int64(i)}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := client.Publish("/r1/n1/power", batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			<-done
-			b.StopTimer()
-			err = client.Close()
-			if spool > 0 {
-				// The longest escalation run wins: it drained the most batches.
-				ackedDrainClean = err == nil
-				ackedStats = client.Stats()
-			}
-			b.StartTimer()
-		}
-	}
-	unackedRes := add("publish_unacked", benchDelivery(0))
-	ackedRes := add("publish_acked", benchDelivery(1024))
-	deliveryAcc := &deliveryAcceptance{
-		UnackedNsPerOp: unackedRes.NsPerOp,
-		AckedNsPerOp:   ackedRes.NsPerOp,
-		OverheadPct:    (ackedRes.NsPerOp - unackedRes.NsPerOp) / unackedRes.NsPerOp * 100,
-		AckedBatches:   ackedStats.Acked,
-		CleanDrain:     ackedDrainClean && ackedStats.Acked == ackedStats.Published,
-	}
-	report.Delivery = deliveryAcc
-	fmt.Printf("  acceptance: acked publish overhead %+.2f%%, %d batches acked, clean drain=%v\n",
-		deliveryAcc.OverheadPct, deliveryAcc.AckedBatches, deliveryAcc.CleanDrain)
-	if deliveryAcc.OverheadPct > 5 || !deliveryAcc.CleanDrain {
-		fmt.Printf("  WARNING: delivery acceptance bounds missed (need <=5%% acked overhead and a clean drain)\n")
-	}
-
-	accept, err := runStorageAcceptance(tmp + "/accept")
-	if err != nil {
-		return err
-	}
-	report.Storage = accept
-	fmt.Printf("  acceptance: %d readings / %d topics, %d bytes on disk = %.2f B/reading, "+
-		"recovery %.1f ms, identical=%v\n",
-		accept.Readings, accept.Topics, accept.DiskBytes, accept.BytesPerReading,
-		accept.RecoveryMs, accept.RecoveredSame)
-	if accept.BytesPerReading >= 4 {
-		fmt.Printf("  WARNING: bytes/reading %.2f exceeds the 4-byte acceptance bound\n",
-			accept.BytesPerReading)
-	}
-
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("==> wrote %s\n", path)
+	var missed []string
+	for _, a := range report.Acceptance {
+		verdict := "ok"
+		if !a.Pass {
+			verdict = "MISSED"
+			missed = append(missed, a.Name)
+		}
+		fmt.Printf("  %-34s %10.2f  need %-6s %s\n", a.Name, a.Value, a.Bound, verdict)
+	}
+	if len(missed) > 0 {
+		return fmt.Errorf("acceptance bounds missed: %s", strings.Join(missed, ", "))
+	}
 	return nil
 }
 
-// runStorageAcceptance executes the PR3 acceptance scenario against a
-// real Collect Agent: >=100k readings over >=64 topics into a persistent
-// backend, flushed to segments, the agent killed without Close, a second
-// agent recovering the directory, and every Range/Latest/REST-query
-// answer compared bit for bit.
-func runStorageAcceptance(dir string) (*storageAcceptance, error) {
-	const (
-		topics     = 64
-		perTopic   = 1600 // 102,400 readings total
-		windowLo   = 0
-		windowHi   = int64(perTopic) * benchSec
-		probeTopic = "/r00/n00/power"
-	)
-	topic := func(i int) sensor.Topic {
-		return sensor.Topic(fmt.Sprintf("/r%02d/n%02d/power", i/8, i%8))
-	}
-
-	agent, err := collect.New(collect.Config{StoreDir: dir})
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < topics; i++ {
-		tp := topic(i)
-		for k := 0; k < perTopic; k += 64 {
-			batch := make([]sensor.Reading, 64)
-			for j := range batch {
-				batch[j] = sensor.Reading{
-					Value: 100 + float64((k+j)%23) + float64(rng.Intn(5)),
-					Time:  int64(k+j) * benchSec,
-				}
-			}
-			agent.IngestBatch(tp, batch)
+// parseBenchOutput adds every metric of the standard benchmark result
+// lines in r to samples (benchmark -> unit -> values) and returns the
+// reported cpu.
+func parseBenchOutput(r io.Reader, samples map[string]map[string][]float64) (cpu string, err error) {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = c
+			continue
 		}
-	}
-	// The janitor would flush on its own cadence; force the steady state
-	// the 4-byte amortised bound is defined over (heads compacted into
-	// segments, WAL retired).
-	if err := agent.DB.Flush(); err != nil {
-		return nil, err
-	}
-
-	type answers struct {
-		ranges  map[sensor.Topic][]sensor.Reading
-		latest  map[sensor.Topic]sensor.Reading
-		restRaw string
-	}
-	collectAnswers := func(a *collect.Agent) (answers, error) {
-		ans := answers{
-			ranges: map[sensor.Topic][]sensor.Reading{},
-			latest: map[sensor.Topic]sensor.Reading{},
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
+			continue
 		}
-		for i := 0; i < topics; i++ {
-			tp := topic(i)
-			ans.ranges[tp] = a.Store.Range(tp, windowLo, windowHi, nil)
-			if r, ok := a.Store.Latest(tp); ok {
-				ans.latest[tp] = r
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue // not a result line
+		}
+		name := f[0]
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i] // GOMAXPROCS suffix
 			}
 		}
-		srv, err := rest.Serve("127.0.0.1:0", a.Manager, a.QE)
-		if err != nil {
-			return ans, err
+		if samples[name] == nil {
+			samples[name] = map[string][]float64{}
 		}
-		defer srv.Close()
-		resp, err := http.Get(fmt.Sprintf("http://%s/query?sensor=%s&from=%d&to=%d",
-			srv.Addr(), probeTopic, windowLo, windowHi))
-		if err != nil {
-			return ans, err
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return cpu, fmt.Errorf("%s: bad %s value %q", name, f[i+1], f[i])
+			}
+			samples[name][f[i+1]] = append(samples[name][f[i+1]], v)
 		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return ans, err
-		}
-		ans.restRaw = string(raw)
-		return ans, nil
 	}
+	return cpu, sc.Err()
+}
 
-	before, err := collectAnswers(agent)
-	if err != nil {
-		return nil, err
-	}
-	// Kill: the agent is abandoned with no Close — no flush, no WAL sync
-	// beyond what IngestBatch already wrote. Abandon releases the file
-	// handles and directory lock the way process death would, and the
-	// operator manager is stopped so stray goroutines don't skew later
-	// measurements.
-	agent.Manager.Close()
-	agent.DB.Abandon()
-
-	start := time.Now()
-	agent2, err := collect.New(collect.Config{StoreDir: dir})
-	if err != nil {
-		return nil, err
-	}
-	recovery := time.Since(start)
-	defer agent2.Close()
-	after, err := collectAnswers(agent2)
-	if err != nil {
-		return nil, err
-	}
-
-	same := after.restRaw == before.restRaw
-	for i := 0; same && i < topics; i++ {
-		tp := topic(i)
-		a, b := before.ranges[tp], after.ranges[tp]
-		if len(a) != len(b) || before.latest[tp] != after.latest[tp] {
-			same = false
-			break
+// missingBenchmarks lists the benchNames without a result in samples
+// (a renamed or deleted benchmark silently stops matching the pattern).
+func missingBenchmarks(samples map[string]map[string][]float64) []string {
+	var missing []string
+	for _, n := range benchNames {
+		found := false
+		for name := range samples {
+			found = found || name == "Benchmark"+n || strings.HasPrefix(name, "Benchmark"+n+"/")
 		}
-		for j := range a {
-			if a[j] != b[j] {
-				same = false
-				break
+		if !found {
+			missing = append(missing, "Benchmark"+n)
+		}
+	}
+	return missing
+}
+
+// summarize reduces the samples to median and quartiles, failing when a
+// metric was not reported in every round.
+func summarize(samples map[string]map[string][]float64, rounds int) ([]benchSummary, error) {
+	names := make([]string, 0, len(samples))
+	for name := range samples {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]benchSummary, 0, len(names))
+	for _, name := range names {
+		bs := benchSummary{Name: name, Metrics: map[string]*summary{}}
+		for unit, vs := range samples[name] {
+			if len(vs) != rounds {
+				return nil, fmt.Errorf("%s %s: %d results for %d rounds", name, unit, len(vs), rounds)
+			}
+			sorted := append([]float64(nil), vs...)
+			sort.Float64s(sorted)
+			bs.Metrics[unit] = &summary{
+				Median: quantile(sorted, 0.5),
+				Q1:     quantile(sorted, 0.25),
+				Q3:     quantile(sorted, 0.75),
+				Runs:   vs,
 			}
 		}
+		out = append(out, bs)
 	}
+	return out, nil
+}
 
-	st := agent2.DB.Stats()
-	total := topics * perTopic
-	return &storageAcceptance{
-		Topics:          topics,
-		Readings:        total,
-		DiskBytes:       st.DiskBytes,
-		BytesPerReading: float64(st.DiskBytes) / float64(total),
-		RecoveryMs:      float64(recovery.Microseconds()) / 1000,
-		RecoveredSame:   same,
-	}, nil
+// quantile interpolates linearly between the closest ranks of sorted.
+func quantile(sorted []float64, p float64) float64 {
+	pos := p * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
+// evaluate checks every bound against the medians; a bound whose metric
+// was not reported is an error, not a miss.
+func evaluate(bs []benchSummary) ([]acceptanceResult, error) {
+	med := func(bench, unit string) float64 {
+		for _, b := range bs {
+			if s := b.Metrics[unit]; b.Name == bench && s != nil {
+				return s.Median
+			}
+		}
+		return math.NaN()
+	}
+	out := make([]acceptanceResult, 0, len(bounds))
+	for _, bd := range bounds {
+		v := bd.value(med)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%s: %s not reported", bd.name, bd.expr)
+		}
+		pass := v >= bd.limit
+		switch bd.op {
+		case "<=":
+			pass = v <= bd.limit
+		case "<":
+			pass = v < bd.limit
+		}
+		out = append(out, acceptanceResult{
+			Name:  bd.name,
+			Expr:  bd.expr,
+			Value: v,
+			Bound: bd.op + strconv.FormatFloat(bd.limit, 'g', -1, 64),
+			Pass:  pass,
+		})
+	}
+	return out, nil
 }

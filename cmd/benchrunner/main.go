@@ -16,11 +16,15 @@
 //	fig8       fleet clustering on 2-week aggregates
 //	footprint  Pusher CPU/memory footprint
 //
-// With -bench-json <file>, benchrunner instead runs the hot-path
-// benchmark pairs and writes machine-readable results (the per-PR
-// performance trajectory, e.g. BENCH_PR2.json):
+// With -bench-json <file>, benchrunner instead builds the repository's
+// root test binary, runs the acceptance benchmarks of bench_test.go (the
+// only place benchmarks are defined) for a fixed number of interleaved
+// rounds, and writes the median and quartiles of every metric plus the
+// acceptance ratios (the per-PR performance trajectory, BENCH_PR*.json).
+// It exits non-zero when a benchmark's answer check fails or any
+// acceptance bound is missed:
 //
-//	benchrunner -bench-json BENCH_PR2.json
+//	benchrunner -bench-json BENCH_PR12.json
 package main
 
 import (
@@ -43,7 +47,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, fig8, footprint")
 	quick := flag.Bool("quick", false, "use scaled-down configurations")
 	out := flag.String("out", "", "directory for CSV output (optional)")
-	benchJSON := flag.String("bench-json", "", "run hot-path benchmark pairs and write JSON results to this file")
+	benchJSON := flag.String("bench-json", "", "run the bench_test.go acceptance benchmarks and write JSON results to this file")
 	flag.Parse()
 
 	if *benchJSON != "" {

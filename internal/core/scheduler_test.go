@@ -36,7 +36,13 @@ func TestSchedulerRunsAllTasks(t *testing.T) {
 	if done.Load() != n {
 		t.Fatalf("ran %d tasks, want %d", done.Load(), n)
 	}
-	if st := s.Stats(); st.Completed != n || st.Active != 0 || st.Queued != 0 {
+	// A worker books a task as completed just after the task returns, so
+	// the counters may trail wg.Wait by that one step.
+	st := s.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.Completed != n && time.Now().Before(deadline); st = s.Stats() {
+		runtime.Gosched()
+	}
+	if st.Completed != n || st.Active != 0 || st.Queued != 0 {
 		t.Fatalf("stats after drain = %+v", st)
 	}
 }

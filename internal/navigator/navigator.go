@@ -337,15 +337,24 @@ func (nv *Navigator) AllSensors() []sensor.Topic {
 
 // SensorsBelow returns all sensor topics in the subtree rooted at the node
 // with the given path, sorted. It returns nil when the path is unknown.
+// The walk reads every node's sensor map under one read lock: a
+// concurrent AddSensor must not write a map being iterated.
 func (nv *Navigator) SensorsBelow(path sensor.Topic) []sensor.Topic {
-	n, ok := nv.Resolve(path)
+	nv.mu.RLock()
+	defer nv.mu.RUnlock()
+	n, ok := nv.byPath[sensor.Clean(string(path)).AsNode()]
 	if !ok {
 		return nil
 	}
 	var out []sensor.Topic
-	for _, sub := range nv.Subtree(n) {
-		out = append(out, sub.Sensors()...)
+	var walk func(x *Node)
+	walk = func(x *Node) {
+		out = append(out, x.Sensors()...)
+		for _, c := range x.Children() {
+			walk(c)
+		}
 	}
+	walk(n)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -243,6 +243,32 @@ func TestSubtreeAndSensorsBelow(t *testing.T) {
 	}
 }
 
+// TestSensorsBelowConcurrentAdd walks a subtree while sensors are added
+// to it: the walk must not iterate a node's sensor map while AddSensor
+// writes it (a fatal runtime error without the race detector, a report
+// with it).
+func TestSensorsBelowConcurrentAdd(t *testing.T) {
+	nv := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			_ = nv.AddSensor(sensor.Topic(fmt.Sprintf("/r01/n%02d/s%d", i%4, i)))
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if got := len(nv.SensorsBelow("/r01/")); got != 2000 {
+				t.Fatalf("sensors below = %d, want 2000", got)
+			}
+			return
+		default:
+			nv.SensorsBelow("/r01/")
+		}
+	}
+}
+
 func TestAllSensors(t *testing.T) {
 	nv := paperTree(t)
 	all := nv.AllSensors()

@@ -76,14 +76,9 @@ func New(cfg Config, qe *core.QueryEngine) (*Operator, error) {
 	return &Operator{Base: base, op: cfg.Operation, window: window}, nil
 }
 
-// Compute implements core.Operator.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator: queries go through the
-// unit's bound sensor handles and all working slices live in the tick
-// context, so the steady-state computation performs no allocations.
+// Compute implements core.Operator: queries go through the unit's bound
+// sensor handles and all working slices live in the tick context, so the
+// steady-state computation performs no allocations.
 //
 // Mean, Sum, Min and Max stream through the Query Engine's aggregation
 // path (BoundSensor.AggregateRelative): the window is reduced inside
@@ -91,7 +86,7 @@ func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) (
 // aggregation engine — without materializing raw readings. Std needs
 // every value (variance) and Delta needs the window's first and last
 // readings, so both keep the raw QueryRelative path.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	var w stats.Welford
 	var agg store.AggResult

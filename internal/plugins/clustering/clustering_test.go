@@ -180,7 +180,7 @@ func TestInsufficientData(t *testing.T) {
 func TestComputeSingleUnitDelegates(t *testing.T) {
 	qe, op := newRig(t)
 	u := op.Units()[0]
-	outs, err := op.Compute(qe, u, time.Unix(60, 0))
+	outs, err := op.Compute(qe, u, time.Unix(60, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,12 +83,7 @@ func New(cfg Config, qe *core.QueryEngine) (*Operator, error) {
 
 // Compute implements core.Operator: knob <- clamp(knob - gain*(avgPower -
 // budget)); over-budget power lowers the knob, headroom raises it back.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	if len(u.Inputs) == 0 || len(u.Outputs) == 0 {
 		return nil, nil
 	}

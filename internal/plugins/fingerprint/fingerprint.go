@@ -139,15 +139,10 @@ func (o *Operator) labelFor(u *units.Unit, now time.Time) (string, bool) {
 
 // Compute implements core.Operator: during training, windows of input
 // metrics labelled by the running job accumulate; after training, every
-// window yields a recognised application index and confidence.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator. The reading buffer is
-// context scratch; the feature vector is freshly allocated on purpose —
-// it may be retained as labelled training data.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+// window yields a recognised application index and confidence. The
+// reading buffer is context scratch; the feature vector is freshly
+// allocated on purpose — it may be retained as labelled training data.
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	feat := make([]float64, 0, features.VectorSize(len(u.Inputs)))
 	buf := tc.Readings

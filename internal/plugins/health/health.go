@@ -82,14 +82,9 @@ func (o *Operator) grade(v float64) float64 {
 }
 
 // Compute implements core.Operator: the unit's status is the worst grade
-// across its input sensors.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator: latest-reading probes go
-// through bound handles and outputs land in the context's scratch buffer.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+// across its input sensors. Latest-reading probes go through bound
+// handles and outputs land in the context's scratch buffer.
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	worst := float64(StatusOK)
 	for i := range u.Inputs {

@@ -105,12 +105,7 @@ func (o *Operator) delta(bu *core.BoundUnit, name string, buf []sensor.Reading) 
 
 // Compute implements core.Operator: each output sensor receives its
 // derived metric computed from counter deltas over the window.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	outs := tc.Outputs[:0]
 	buf := tc.Readings

@@ -66,7 +66,7 @@ func mk(t testing.TB, qe *core.QueryEngine, outputs []string) *Operator {
 func TestAllMetrics(t *testing.T) {
 	qe := env(t)
 	o := mk(t, qe, []string{MetricCPI, MetricFlopsRate, MetricVectorRatio, MetricMissRate})
-	outs, err := o.Compute(qe, o.Units()[0], time.Unix(9, 0))
+	outs, err := o.Compute(qe, o.Units()[0], time.Unix(9, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWarmupProducesNoOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := o.Compute(qe, o.Units()[0], time.Unix(0, 0))
+	outs, err := o.Compute(qe, o.Units()[0], time.Unix(0, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEndToEndWithHardwareModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := o.Compute(qe, o.Units()[0], time.Unix(9, 0))
+	outs, err := o.Compute(qe, o.Units()[0], time.Unix(9, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,16 +121,11 @@ func (o *Operator) RefreshUnits(qe *core.QueryEngine, now time.Time) error {
 }
 
 // Compute implements core.Operator: the latest reading of every input is
-// collected and reduced to the configured quantiles.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator: the per-job sample vector
-// lives in the context's float scratch. Units are rebuilt every tick by
-// RefreshUnits, so bound handles are attached to each fresh unit on its
-// first computation and collected with it.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+// collected and reduced to the configured quantiles. The per-job sample
+// vector lives in the context's float scratch. Units are rebuilt every
+// tick by RefreshUnits, so bound handles are attached to each fresh unit
+// on its first computation and collected with it.
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	values := tc.Floats[:0]
 	for i := range u.Inputs {

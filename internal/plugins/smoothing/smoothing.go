@@ -87,14 +87,9 @@ func New(cfg Config, qe *core.QueryEngine) (*Operator, error) {
 }
 
 // Compute implements core.Operator: output (i, j) receives the average of
-// input i over window j.
-func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time) ([]core.Output, error) {
-	return o.ComputeInto(qe, u, now, core.NewTickContext())
-}
-
-// ComputeInto implements core.ContextOperator: averages are computed
-// through bound handles, outputs accumulate in the context's buffer.
-func (o *Operator) ComputeInto(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
+// input i over window j. Averages are computed through bound handles,
+// outputs accumulate in the context's buffer.
+func (o *Operator) Compute(qe *core.QueryEngine, u *units.Unit, now time.Time, tc *core.TickContext) ([]core.Output, error) {
 	bu := qe.BindUnit(u)
 	outs := tc.Outputs[:0]
 	for i := range u.Inputs {

@@ -64,7 +64,7 @@ func TestComputeAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := op.Compute(qe, op.Units()[0], time.Unix(399, 0))
+	outs, err := op.Compute(qe, op.Units()[0], time.Unix(399, 0), core.NewTickContext())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,6 +269,11 @@ func (b *Broker) KillConnections(n int) int {
 		if n >= 0 && len(victims) >= n {
 			break
 		}
+		select {
+		case <-c.dead:
+			continue // killed earlier, deregistration still pending
+		default:
+		}
 		victims = append(victims, c)
 	}
 	b.mu.Unlock()

@@ -46,12 +46,6 @@ type Options struct {
 	// concurrent writers still coalesce naturally while the previous
 	// cohort's write/fsync is in flight.
 	WALGroupWindow time.Duration
-	// LegacyIngest selects the pre-group-commit ingest path: WAL encode,
-	// write and fsync under one writer lock (one fsync per batch) and a
-	// global mutex on head resolution. Kept only so the paired
-	// ingest_concurrent benchmarks can measure the before side; never
-	// set it in production.
-	LegacyIngest bool
 	// OnPrune, when set, runs after every retention pass that hid or
 	// removed data, with the cutoff and the count of readings removed.
 	// The serving tier hooks result-cache invalidation here (janitor
@@ -116,7 +110,6 @@ func headShardIdx(topic sensor.Topic) uint32 {
 //lint:lockorder DB.flushMu < DB.ingest < DB.mu < headShard.mu < head.mu
 //lint:lockorder DB.mu < wal.mu
 //lint:lockorder DB.ingest < wal.mu
-//lint:lockorder DB.ingest < DB.legacyMu < headShard.mu
 //lint:lockorder DB.ingest < DB.walErrMu
 type DB struct {
 	dir  string
@@ -177,10 +170,6 @@ type DB struct {
 	// Guarded by walErrMu — both stickies describe the same "durability
 	// lost" condition.
 	flushErr error
-
-	// legacyMu emulates the pre-PR5 global head-resolution lock when
-	// Options.LegacyIngest is set (paired benchmarks only).
-	legacyMu sync.Mutex
 
 	// idx is the sorted prefix table over live topics answering wildcard
 	// expansion in O(matches): built from the recovered topic set at
@@ -321,7 +310,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.wal.groupWindow = opts.WALGroupWindow
-	db.wal.legacy = opts.LegacyIngest
 	db.wal.m = db.metrics
 	db.metrics.recoverySec.Set(time.Since(openStart).Seconds())
 	if opts.FlushEvery > 0 {
@@ -390,18 +378,6 @@ func (db *DB) InsertBatch(topic sensor.Topic, rs []sensor.Reading) {
 		if err := db.wal.Append(topic, rs); err != nil {
 			db.noteWALError(err)
 		}
-	}
-	if db.opts.LegacyIngest {
-		// Pre-PR5 shape: every writer funnels through one mutex to
-		// resolve its head block (benchmarks only).
-		db.legacyMu.Lock()
-		h := db.headFor(topic)
-		db.headN.Add(int64(len(rs)))
-		db.headSince.CompareAndSwap(0, time.Now().UnixNano())
-		db.legacyMu.Unlock()
-		h.insert(rs)
-		db.idx.Add(topic)
-		return
 	}
 	h := db.headFor(topic)
 	h.insert(rs)

@@ -210,31 +210,6 @@ func TestGroupCommitErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestLegacyIngestPathStillCorrect keeps the benchmark-only legacy path
-// honest: same data in, same data out.
-func TestLegacyIngestPathStillCorrect(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir, Options{LegacyIngest: true, WALSync: true})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			topic := sensor.Topic(fmt.Sprintf("/l/n%02d/power", w))
-			for i := 0; i < 50; i++ {
-				db.InsertBatch(topic, []sensor.Reading{{Value: float64(i), Time: int64(i) * sec}})
-			}
-		}(w)
-	}
-	wg.Wait()
-	db.Abandon()
-	db2 := openTest(t, dir, Options{})
-	defer db2.Close()
-	if got := db2.TotalReadings(); got != 4*50 {
-		t.Fatalf("recovered %d readings, want 200", got)
-	}
-}
-
 // TestGroupWindowCoalesces sanity-checks the linger knob: with a window
 // set, concurrent appends from many goroutines land in few cohorts (and
 // none are lost).

@@ -91,7 +91,6 @@ type wal struct {
 	dir         string
 	syncEach    bool
 	groupWindow time.Duration
-	legacy      bool // pre-group-commit append path, kept for the paired bench
 
 	// m is the owning DB's telemetry bundle, set by Open before any
 	// Append can run; nil only when a wal is constructed bare in tests.
@@ -105,7 +104,6 @@ type wal struct {
 	f          File
 	seq        uint64
 	size       int64
-	buf        []byte // legacy-path record scratch
 }
 
 // newWAL starts a fresh WAL file with the given sequence number.
@@ -126,9 +124,6 @@ func newWAL(fs FS, dir string, seq uint64, syncEach bool) (*wal, error) {
 func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 	if len(rs) == 0 {
 		return nil
-	}
-	if w.legacy {
-		return w.appendLegacy(topic, rs)
 	}
 	rec := walRecPool.Get().(*[]byte)
 	*rec = appendWALRecord((*rec)[:0], topic, rs)
@@ -243,41 +238,6 @@ func (w *wal) Append(topic sensor.Topic, rs []sensor.Reading) error {
 	w.drained.Broadcast()
 	w.mu.Unlock()
 	return g.err
-}
-
-// appendLegacy is the pre-group-commit path: encode, write and sync all
-// under the writer lock, one fsync per batch. Kept selectable (see
-// Options.LegacyIngest) so the paired ingest benchmarks can measure the
-// before side.
-func (w *wal) appendLegacy(topic sensor.Topic, rs []sensor.Reading) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	w.buf = appendWALRecord(w.buf[:0], topic, rs)
-	commitStart := telemetry.Clock()
-	n, err := w.f.Write(w.buf)
-	w.size += int64(n)
-	if err != nil {
-		err = fmt.Errorf("tsdb: wal append: %w", err)
-		w.err = err
-		return err
-	}
-	if w.syncEach {
-		if err := w.f.Sync(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	if m := w.m; m != nil {
-		m.walCommitS.ObserveSince(commitStart)
-		m.walCommits.Inc()
-		m.walAppends.Inc()
-		m.walBytes.Add(uint64(n))
-		m.walCohort.Observe(1)
-	}
-	return nil
 }
 
 // waitDrainedLocked blocks until no cohort is staged or being committed.

@@ -42,11 +42,11 @@ race:
 # the group-commit WAL (8-32 writers), the dashboard read-path
 # pairs (uncached vs result-cached queries, linear vs indexed wildcard
 # expansion), the telemetry overhead pairs (instrumented ingest and
-# dashboard hot paths with the switch off vs on) and the delivery pairs
-# (fire-and-forget publish vs the spooled acked path).
+# dashboard hot paths with the switch off vs on) and the acked publish
+# throughput of the spooled client.
 # Full suite: go test -bench=. -benchmem .
 bench:
-	$(GO) test -run '^$$' -bench 'TickAllContention|QueryContention|CacheView|BackendInsertBatch|BackendRange|TSDBRecovery|StorageRecovery|Aggregate|Downsample|IngestConcurrent|DashboardQuery|WildcardExpand|Telemetry|PublishUnacked|PublishAcked' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'TickAllContention|QueryContention|CacheView|BackendInsertBatch|BackendRange|TSDBRecovery|StorageRecovery|Aggregate|Downsample|IngestConcurrent|DashboardQuery|WildcardExpand|Telemetry|PublishAcked' -benchtime 10x -benchmem .
 
 # One-iteration smoke over the ENTIRE benchmark suite: every benchmark
 # must still compile and execute, so the paired before/after workloads
@@ -60,16 +60,18 @@ bench-smoke:
 # exit-status gate (on-disk bytes per reading < 4, aggregate >=5x faster
 # and >=10x fewer allocs than naive Range+reduce, cached dashboard query
 # >=5x faster, indexed wildcard expansion 64->4096 topics <=4x, <=2%
-# telemetry overhead on the ingest and dashboard hot paths, <=5% acked
-# publish overhead vs fire-and-forget). The answer checks (recovered,
-# aggregate, cached and drained answers identical) fail a round.
+# telemetry overhead on the ingest and dashboard hot paths). The answer
+# checks (recovered, aggregate, cached and drained answers identical,
+# clean spool drain) fail a round.
 bench-json:
-	$(GO) run ./cmd/benchrunner -bench-json BENCH_PR12.json
+	$(GO) run ./cmd/benchrunner -bench-json BENCH_PR13.json
 
-# Fixed-time fuzz smoke of the WAL record codec: the checked-in seed
-# corpus (internal/tsdb/testdata/fuzz) plus 10s of fresh inputs.
+# Fixed-time fuzz smoke of the WAL record codec and the broker's publish
+# frame decoder: each checked-in seed corpus (testdata/fuzz in the
+# package) plus 10s of fresh inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz '^FuzzPublishFrame$$' -fuzztime 10s ./internal/transport/
 
 # Seeded chaos smoke (~10s): the fault-injected end-to-end scenario and
 # the integration-tier recovery case, both under the race detector. A
@@ -83,11 +85,11 @@ chaos-smoke:
 
 # Full chaos run: 1000 simulated pushers, 30s of scheduled faults
 # (killed connections, torn/stalled/failed fsyncs, disk-full, slow
-# readers, OOO floods, clock skew) with the at-least-once spool on, so
-# the verdict requires zero lost readings, period. The verdict is
+# readers, OOO floods, clock skew) through at-least-once pushers; the
+# verdict requires zero lost readings, period. The verdict is
 # merged into the per-PR benchmark artifact under a "chaos" key.
 # Pre-merge gate for storage/transport/ingest changes.
 chaos:
-	$(GO) run ./cmd/chaosrunner -seed 42 -merge BENCH_PR12.json
+	$(GO) run ./cmd/chaosrunner -seed 42 -merge BENCH_PR13.json
 
 ci: build vet doclint lint test race bench-smoke bench fuzz-smoke chaos-smoke

@@ -627,8 +627,10 @@ func BenchmarkNavigatorResolve(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportPublish measures the Pusher->Collect Agent data path:
-// encode, route through the broker, decode and deliver locally.
+// BenchmarkTransportPublish measures the Pusher->Collect Agent data path
+// one batch at a time: spool, encode, route through the broker, decode
+// and deliver locally, waiting for each delivery before the next
+// publish.
 func BenchmarkTransportPublish(b *testing.B) {
 	broker, err := transport.NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -656,17 +658,15 @@ func BenchmarkTransportPublish(b *testing.B) {
 	}
 }
 
-// --- PR10: at-least-once delivery overhead ------------------------------
+// --- At-least-once delivery throughput ----------------------------------
 
-// benchPublishDelivery measures sustained publish->local-delivery
-// throughput with the chosen client mode: the fire-and-forget v1
-// client, or the spooled at-least-once client whose batches travel as
+// BenchmarkPublishAcked measures sustained publish->local-delivery
+// throughput of the spooled client, whose batches travel as
 // acknowledged v2 frames. Publishes are pipelined (the production
 // shape: pushers never wait per batch) and one op is one batch fully
-// delivered. The pair bounds the ack machinery's no-fault throughput
-// overhead (acceptance: acked within 5% of unacked); the acked side
-// fails unless Close drains with every published batch acknowledged.
-func benchPublishDelivery(b *testing.B, spool int) {
+// delivered. It fails unless Close drains with every published batch
+// acknowledged.
+func BenchmarkPublishAcked(b *testing.B) {
 	broker, err := transport.NewBroker("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -680,12 +680,7 @@ func benchPublishDelivery(b *testing.B, spool int) {
 			done <- struct{}{}
 		}
 	})
-	var client *transport.Client
-	if spool > 0 {
-		client, err = transport.DialOptions(broker.Addr(), transport.Options{SpoolBatches: spool})
-	} else {
-		client, err = transport.Dial(broker.Addr())
-	}
+	client, err := transport.DialOptions(broker.Addr(), transport.Options{SpoolBatches: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -703,17 +698,10 @@ func benchPublishDelivery(b *testing.B, spool int) {
 	<-done
 	b.StopTimer()
 	err = client.Close()
-	if st := client.Stats(); spool > 0 && (err != nil || st.Acked != st.Published) {
+	if st := client.Stats(); err != nil || st.Acked != st.Published {
 		b.Fatalf("spool did not drain clean: close %v, %d of %d batches acked", err, st.Acked, st.Published)
 	}
 }
-
-// BenchmarkPublishUnacked is the fire-and-forget baseline of the pair.
-func BenchmarkPublishUnacked(b *testing.B) { benchPublishDelivery(b, 0) }
-
-// BenchmarkPublishAcked routes the same workload through the spool:
-// v2 frames, broker PubAcks, client-side ack tracking.
-func BenchmarkPublishAcked(b *testing.B) { benchPublishDelivery(b, 1024) }
 
 // --- PR3: persistent storage backend (tsdb) vs in-memory store ----------
 

@@ -50,7 +50,7 @@ var benchNames = []string{
 	"WildcardExpandLinear64", "WildcardExpandLinear4096",
 	"IngestTelemetryOff", "IngestTelemetryOn",
 	"DashboardTelemetryOff", "DashboardTelemetryOn",
-	"PublishUnacked", "PublishAcked",
+	"PublishAcked",
 }
 
 // medianFunc looks up the median of one benchmark's metric (NaN when
@@ -99,8 +99,6 @@ var bounds = []bound{
 		value: overheadPct("BenchmarkIngestTelemetryOff", "BenchmarkIngestTelemetryOn"), op: "<=", limit: 2},
 	{name: "dashboard_telemetry_overhead_pct", expr: "DashboardTelemetryOn vs DashboardTelemetryOff ns/op",
 		value: overheadPct("BenchmarkDashboardTelemetryOff", "BenchmarkDashboardTelemetryOn"), op: "<=", limit: 2},
-	{name: "publish_acked_overhead_pct", expr: "PublishAcked vs PublishUnacked ns/op",
-		value: overheadPct("BenchmarkPublishUnacked", "BenchmarkPublishAcked"), op: "<=", limit: 5},
 	{name: "storage_bytes_per_reading", expr: "StorageRecovery B/reading",
 		value: metric("BenchmarkStorageRecovery", "B/reading"), op: "<", limit: 4},
 }
@@ -168,7 +166,7 @@ func runBenchJSON(path string) error {
 		cpu = c
 	}
 	report := benchReport{
-		PR: 12,
+		PR: 13,
 		Note: "bench_test.go acceptance benchmarks, median and quartiles over interleaved rounds; " +
 			"answer checks (aggregate = naive, cached = uncached bytes, recovered answers identical, " +
 			"clean spool drain) fail the round",

@@ -24,7 +24,7 @@
 // It exits non-zero when a benchmark's answer check fails or any
 // acceptance bound is missed:
 //
-//	benchrunner -bench-json BENCH_PR12.json
+//	benchrunner -bench-json BENCH_PR13.json
 package main
 
 import (

@@ -1,13 +1,12 @@
 // Command chaosrunner executes one chaos scenario (internal/chaos)
 // against the real in-process pipeline and emits its JSON verdict.
 //
-// The exit status is the gate: 0 when the accounting is clean — with
-// the default at-least-once spool that means zero lost readings, period
-// (nothing acked-lost, nothing unacked-dropped), plus zero duplicates,
-// phantoms, mismatches and a clean drain — 1 otherwise. `make chaos`
-// runs the full pre-merge configuration and merges the verdict into
-// BENCH_PR10.json; `make chaos-smoke` runs the seeded in-package smoke
-// test under -race instead.
+// The exit status is the gate: 0 when the accounting is clean — zero
+// lost readings, period (nothing acked-lost, nothing unacked-dropped),
+// plus zero duplicates, phantoms, mismatches and a clean drain — 1
+// otherwise. `make chaos` runs the full pre-merge configuration and
+// merges the verdict into the per-PR BENCH_PR*.json; `make chaos-smoke`
+// runs the seeded in-package smoke test under -race instead.
 //
 // Usage:
 //
@@ -47,7 +46,6 @@ func main() {
 		dir         = flag.String("dir", "", "store directory (empty = temp)")
 		out         = flag.String("out", "", "write the JSON verdict to this file (always printed to stdout)")
 		merge       = flag.String("merge", "", "fold the verdict into this JSON report under a 'chaos' key")
-		spool       = flag.Int("spool", 0, "pusher spool size in batches (0 = default 256, negative = fire-and-forget)")
 	)
 	flag.Parse()
 	if *seed == 0 {
@@ -65,7 +63,6 @@ func main() {
 		QueryWorkers:   *queryLoad,
 		WALGroupWindow: *groupWindow,
 		Dir:            *dir,
-		SpoolBatches:   *spool,
 	}.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaosrunner: %v\n", err)

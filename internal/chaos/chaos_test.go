@@ -198,10 +198,7 @@ func TestScenarioSmoke(t *testing.T) {
 	if v.Accounting.Sent == 0 || v.Accounting.Stored == 0 {
 		t.Fatalf("degenerate run: accounting %+v", v.Accounting)
 	}
-	// Zero lost, period: with the spool on, every sent reading is stored.
-	if !v.SpoolEnabled {
-		t.Fatal("scenario ran without the at-least-once spool")
-	}
+	// Zero lost, period: every sent reading is stored.
 	if v.Accounting.UnackedDropped != 0 || v.Accounting.AckedLost != 0 {
 		t.Fatalf("lost readings under spooling: %+v", v.Accounting)
 	}

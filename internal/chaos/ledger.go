@@ -102,12 +102,8 @@ func (l *Ledger) SentTopics() []sensor.Topic {
 }
 
 // Accounting is the reconciled fate of every reading the scenario sent.
-// A healthy pipeline has AckedLost, Duplicates, Phantom and
-// ValueMismatch all zero. UnackedDropped counts readings handed to a
-// client but never routed: with the at-least-once spool active (the
-// default) the spool must redeliver them, so a passing verdict requires
-// zero; only a fire-and-forget run (Scenario.SpoolBatches < 0) tolerates
-// them as connection-kill collateral.
+// A healthy pipeline has AckedLost, UnackedDropped, Duplicates, Phantom
+// and ValueMismatch all zero.
 type Accounting struct {
 	// Sent counts readings whose Publish returned nil.
 	Sent uint64 `json:"sent"`
@@ -119,8 +115,8 @@ type Accounting struct {
 	// the store cannot produce — each one is a bug.
 	AckedLost uint64 `json:"acked_lost"`
 	// UnackedDropped counts readings handed to a client but never
-	// routed — the frames a killed connection ate. Forbidden when the
-	// at-least-once spool is on; allowed only in fire-and-forget runs.
+	// routed — frames a killed connection ate that the spool failed to
+	// redeliver. A passing verdict requires zero.
 	UnackedDropped uint64 `json:"unacked_dropped"`
 	// Duplicates counts (topic, timestamp) keys the store returned more
 	// than once — an at-most-once violation.
@@ -132,9 +128,11 @@ type Accounting struct {
 	ValueMismatch uint64 `json:"value_mismatch"`
 }
 
-// Clean reports whether the accounting shows zero pipeline bugs.
+// Clean reports whether the accounting shows zero lost, duplicated,
+// phantom or corrupted readings.
 func (a Accounting) Clean() bool {
-	return a.AckedLost == 0 && a.Duplicates == 0 && a.Phantom == 0 && a.ValueMismatch == 0
+	return a.AckedLost == 0 && a.UnackedDropped == 0 && a.Duplicates == 0 &&
+		a.Phantom == 0 && a.ValueMismatch == 0
 }
 
 // Reconcile classifies every sent reading against the store. rangeAll

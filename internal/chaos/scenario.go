@@ -109,13 +109,6 @@ type Scenario struct {
 	// IngestQueueCap bounds each ingest queue; 1 forces the
 	// backpressure path on every enqueue.
 	IngestQueueCap int
-	// SpoolBatches sizes each pusher's at-least-once client spool
-	// (default 256): batches survive killed connections in the spool and
-	// are redelivered after the automatic reconnect, with the agent's
-	// dedup keeping the store exactly-once. Negative reverts pushers to
-	// fire-and-forget clients, relaxing the verdict to tolerate unacked
-	// drops (the pre-spool contract).
-	SpoolBatches int
 	// QueryWorkers is how many goroutines hammer the REST tier during
 	// the run to measure query latency under chaos (default 2).
 	QueryWorkers int
@@ -128,11 +121,9 @@ type Scenario struct {
 }
 
 // Verdict is the JSON result of a scenario run. Pass requires clean
-// accounting: zero acked-lost, duplicate, phantom and value-mismatch
-// readings — and, with the at-least-once spool on (the default), zero
-// unacked drops too: every reading a pusher accepted must be in the
-// store, period. Only a fire-and-forget run (SpoolBatches < 0)
-// tolerates unacked drops as connection-kill collateral.
+// accounting — zero acked-lost, unacked-dropped, duplicate, phantom and
+// value-mismatch readings: every reading a pusher accepted must be in
+// the store, period — plus a clean drain of every pusher's spool.
 type Verdict struct {
 	Seed            int64             `json:"seed"`
 	Pushers         int               `json:"pushers"`
@@ -154,10 +145,6 @@ type Verdict struct {
 	QueryErrors    uint64  `json:"query_errors"`
 	QueryP50Ms     float64 `json:"query_p50_ms"`
 	QueryP99Ms     float64 `json:"query_p99_ms"`
-	// SpoolEnabled reports whether pushers ran with the at-least-once
-	// spool (and therefore whether the zero-unacked-drop criterion
-	// applied).
-	SpoolEnabled bool `json:"spool_enabled"`
 	// PusherReconnects totals successful redials across the fleet.
 	PusherReconnects uint64 `json:"pusher_reconnects"`
 	// PusherRedeliveries totals batches re-sent after connection loss.
@@ -239,9 +226,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Faults == nil {
 		s.Faults = DefaultFaults(s.Duration)
-	}
-	if s.SpoolBatches == 0 {
-		s.SpoolBatches = 256
 	}
 	if s.QueryWorkers < 0 {
 		s.QueryWorkers = 0
@@ -436,7 +420,6 @@ func (s Scenario) Run() (*Verdict, error) {
 			derive(s.Seed, fmt.Sprintf("app-%d", i)), s.Duration.Seconds()), baseNs)
 		p := &pusher{
 			addr:         agent.Addr(),
-			spool:        s.SpoolBatches,
 			spoolDir:     filepath.Join(spoolRoot, fmt.Sprintf("p%03d", i)),
 			topics:       pusherTopics(topo, nodePaths[i], s.Topics),
 			node:         node,
@@ -565,35 +548,33 @@ func (s Scenario) Run() (*Verdict, error) {
 	// whatever already made it through in the first life and the store
 	// gains only the genuinely missing readings.
 	cfs.ClearAll()
-	if s.SpoolBatches > 0 {
-		var replayWG sync.WaitGroup
-		for _, p := range pushers {
-			fi, err := os.Stat(filepath.Join(p.spoolDir, "pusher.spool"))
-			if err != nil || fi.Size() == 0 {
-				continue
-			}
-			replayWG.Add(1)
-			go func(p *pusher) {
-				defer replayWG.Done()
-				c, err := p.dial()
-				if err != nil {
-					p.drainFails.Add(1)
-					return
-				}
-				cerr := c.Close()
-				st := c.Stats()
-				p.replayed.Add(st.Acked)
-				p.reconnects.Add(st.Reconnects)
-				p.redeliveries.Add(st.Redeliveries)
-				// After a replay there is no next life to hand off to:
-				// anything still spooled is a real drain failure.
-				if cerr != nil || st.SpoolDepth+st.SpoolDisk > 0 {
-					p.drainFails.Add(1)
-				}
-			}(p)
+	var replayWG sync.WaitGroup
+	for _, p := range pushers {
+		fi, err := os.Stat(filepath.Join(p.spoolDir, "pusher.spool"))
+		if err != nil || fi.Size() == 0 {
+			continue
 		}
-		replayWG.Wait()
+		replayWG.Add(1)
+		go func(p *pusher) {
+			defer replayWG.Done()
+			c, err := p.dial()
+			if err != nil {
+				p.drainFails.Add(1)
+				return
+			}
+			cerr := c.Close()
+			st := c.Stats()
+			p.replayed.Add(st.Acked)
+			p.reconnects.Add(st.Reconnects)
+			p.redeliveries.Add(st.Redeliveries)
+			// After a replay there is no next life to hand off to:
+			// anything still spooled is a real drain failure.
+			if cerr != nil || st.SpoolDepth+st.SpoolDisk > 0 {
+				p.drainFails.Add(1)
+			}
+		}(p)
 	}
+	replayWG.Wait()
 	// Close the broker before reconciling: a closed pusher connection
 	// can still have complete frames sitting in the broker's read
 	// buffers, and Broker.Close waits for every serve loop to finish
@@ -607,19 +588,17 @@ func (s Scenario) Run() (*Verdict, error) {
 	// (their connections are closed), so the ingest fan-in is done once
 	// the agent's own counter matches the ledger's delivered count.
 	drained := true
-	if s.IngestWorkers >= 0 {
-		deadline := time.Now().Add(s.DrainTimeout)
-		for {
-			v, _ := reg.Value("dcdb_ingest_readings_total")
-			if uint64(v) >= ledger.DeliveredReadings() {
-				break
-			}
-			if time.Now().After(deadline) {
-				drained = false
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
+	deadline := time.Now().Add(s.DrainTimeout)
+	for {
+		v, _ := reg.Value("dcdb_ingest_readings_total")
+		if uint64(v) >= ledger.DeliveredReadings() {
+			break
 		}
+		if time.Now().After(deadline) {
+			drained = false
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	// A final flush exercises the segment path post-chaos and re-arms a
 	// degraded WAL; its data stays query-visible either way.
@@ -634,7 +613,6 @@ func (s Scenario) Run() (*Verdict, error) {
 	dupBatches, _ := reg.Value("dcdb_ingest_dup_batches_total")
 	slowDrops, _ := reg.Value("dcdb_broker_slow_reader_drops_total")
 	pubAcks, _ := reg.Value("dcdb_broker_pubacks_total")
-	spoolOn := s.SpoolBatches > 0
 
 	v := &Verdict{
 		Seed:                   s.Seed,
@@ -651,7 +629,6 @@ func (s Scenario) Run() (*Verdict, error) {
 		ReadingsPerSec:         float64(acct.Stored) / s.Duration.Seconds(),
 		Queries:                queries.Load(),
 		QueryErrors:            qErrors.Load(),
-		SpoolEnabled:           spoolOn,
 		PusherReconnects:       reconnects.Load(),
 		PusherRedeliveries:     redeliveries.Load(),
 		PusherDrainFailures:    drainFails.Load(),
@@ -664,18 +641,15 @@ func (s Scenario) Run() (*Verdict, error) {
 		DrainedCleanly:         drained,
 	}
 	v.QueryP50Ms, v.QueryP99Ms = percentiles(lats)
-	v.Pass = acct.Clean() && drained
-	if spoolOn {
-		// At-least-once upstream + dedup downstream: zero lost, period.
-		// Every reading a pusher accepted is either in the store or the
-		// run fails.
-		v.Pass = v.Pass && acct.UnackedDropped == 0 && drainFails.Load() == 0
-		if acct.UnackedDropped > 0 {
-			v.Failures = append(v.Failures, fmt.Sprintf("%d unacked-dropped readings (the spool should have redelivered them)", acct.UnackedDropped))
-		}
-		if n := drainFails.Load(); n > 0 {
-			v.Failures = append(v.Failures, fmt.Sprintf("%d pushers could not drain or persist their spool on close", n))
-		}
+	// At-least-once upstream + dedup downstream: zero lost, period.
+	// Every reading a pusher accepted is either in the store or the run
+	// fails.
+	v.Pass = acct.Clean() && drained && drainFails.Load() == 0
+	if acct.UnackedDropped > 0 {
+		v.Failures = append(v.Failures, fmt.Sprintf("%d unacked-dropped readings (the spool should have redelivered them)", acct.UnackedDropped))
+	}
+	if n := drainFails.Load(); n > 0 {
+		v.Failures = append(v.Failures, fmt.Sprintf("%d pushers could not drain or persist their spool on close", n))
 	}
 	if acct.AckedLost > 0 {
 		v.Failures = append(v.Failures, fmt.Sprintf("%d acked-lost readings (delivered but not stored)", acct.AckedLost))
@@ -856,15 +830,13 @@ func (l *lcg) next() uint64 {
 
 // pusher is one simulated pusher connection: it samples its hardware
 // node at the configured rate and publishes one batch per topic per
-// tick. With spool > 0 (the default) it runs a single at-least-once
-// client whose spool absorbs injected connection kills — redial,
-// backoff and redelivery all happen inside transport — and whose Close
-// drains every outstanding batch at the end of the run. Batches are
-// buffered and released in reverse order while the OOO flood fault is
-// active.
+// tick. It runs a single at-least-once client whose spool absorbs
+// injected connection kills — redial, backoff and redelivery all
+// happen inside transport — and whose Close drains every outstanding
+// batch at the end of the run. Batches are buffered and released in
+// reverse order while the OOO flood fault is active.
 type pusher struct {
 	addr     string
-	spool    int    // at-least-once spool size; <= 0 is fire-and-forget
 	spoolDir string // disk overflow for the spool
 	topics   []sensor.Topic
 	node     *hardware.Node
@@ -973,18 +945,15 @@ func (p *pusher) flushReversed() {
 	p.pending = p.pending[:0]
 }
 
-// publish records the batch as sent, then writes it out. Recording
-// first is deliberate: the broker routes on its own goroutine, so a
-// delivery may be observed before Publish even returns; a reading the
-// ledger did not know about would be misclassified as phantom.
+// publish records the batch as sent, then spools it. Recording first
+// is deliberate: the broker routes on its own goroutine, so a delivery
+// may be observed before Publish even returns; a reading the ledger did
+// not know about would be misclassified as phantom.
 //
-// In spooling mode Publish only enqueues — connection loss, redial and
-// redelivery are the reliable client's problem, and the only error is
-// the client being closed. In fire-and-forget mode a failed publish is
-// never retried: the frame may or may not have reached the broker, and
-// resending it on a fresh connection could deliver it twice — that
-// mode's at-most-once contract forbids it. The batch becomes an
-// unacked drop and the pusher redials for the next one.
+// Publish only enqueues — connection loss, redial and redelivery are
+// the client's problem — and its only error, ErrClosed, cannot happen
+// before run's deferred Close; a batch it did refuse would still show
+// up in the verdict as an unacked drop.
 func (p *pusher) publish(b outBatch) {
 	p.ledger.RecordSent(b.topic, b.rs)
 	if p.client == nil {
@@ -997,36 +966,30 @@ func (p *pusher) publish(b outBatch) {
 		}
 		p.client = c
 	}
-	if err := p.client.Publish(b.topic, b.rs); err != nil {
-		// Fire-and-forget: dead connection (likely an injected kill) —
-		// drop the handle so the next batch redials. A reliable client
-		// only fails with ErrClosed, which never happens mid-run.
-		p.client.Close()
-		p.client = nil
-	}
+	_ = p.client.Publish(b.topic, b.rs)
 }
 
-// dial opens this pusher's client: at-least-once with disk overflow in
-// spooling mode, the plain fire-and-forget client otherwise.
+// pusherSpool is each pusher's in-memory spool size in batches, the
+// dcdbpusher default.
+const pusherSpool = 256
+
+// dial opens this pusher's at-least-once client with disk overflow.
+//
+// AckTimeout must sit well above the worst ack latency the injected
+// faults can manufacture (disk-full and slow-write episodes stall the
+// ingest path, and with it the broker's ack-after-route reply, for
+// seconds at a time). Injected connection kills surface as socket
+// errors immediately, so the stall detector is only a backstop for a
+// silently wedged connection — but set too low it kills healthy-slow
+// connections, and each kill redelivers the whole spool, feeding the
+// very congestion that tripped it.
 func (p *pusher) dial() (*transport.Client, error) {
-	if p.spool > 0 {
-		// AckTimeout must sit well above the worst ack latency the
-		// injected faults can manufacture (disk-full and slow-write
-		// episodes stall the ingest path, and with it the broker's
-		// ack-after-route reply, for seconds at a time). Injected
-		// connection kills surface as socket errors immediately, so the
-		// stall detector is only a backstop for a silently wedged
-		// connection — but set too low it kills healthy-slow connections,
-		// and each kill redelivers the whole spool, feeding the very
-		// congestion that tripped it.
-		return transport.DialOptions(p.addr, transport.Options{
-			SpoolBatches: p.spool,
-			SpoolDir:     p.spoolDir,
-			AckTimeout:   10 * time.Second,
-			RetryMin:     10 * time.Millisecond,
-			RetryMax:     250 * time.Millisecond,
-			DrainTimeout: 30 * time.Second,
-		})
-	}
-	return transport.Dial(p.addr)
+	return transport.DialOptions(p.addr, transport.Options{
+		SpoolBatches: pusherSpool,
+		SpoolDir:     p.spoolDir,
+		AckTimeout:   10 * time.Second,
+		RetryMin:     10 * time.Millisecond,
+		RetryMax:     250 * time.Millisecond,
+		DrainTimeout: 30 * time.Second,
+	})
 }

@@ -58,8 +58,8 @@ type Config struct {
 	// storage path: delivered messages are queued per topic shard and
 	// ingested by this many workers, so a slow WAL fsync never stalls a
 	// connection's read loop, and concurrent batches coalesce into
-	// shared group commits. 0 picks a default (min(4, GOMAXPROCS));
-	// negative ingests synchronously on the delivering goroutine.
+	// shared group commits. 0 or negative picks a default (min(4,
+	// GOMAXPROCS)).
 	IngestWorkers int
 	// IngestQueueCap bounds each ingest worker's queue (default 256).
 	// A full queue blocks the delivering connection — backpressure,
@@ -247,41 +247,26 @@ func New(cfg Config) (*Agent, error) {
 			return nil, fmt.Errorf("collect: starting broker: %w", err)
 		}
 		a.Broker = b
-		if workers := ingestWorkerCount(cfg.IngestWorkers); workers > 0 {
-			a.startIngestWorkers(workers, ingestQueueCap(cfg.IngestQueueCap))
-			b.SubscribeLocal("#", func(m transport.Message) {
-				// The broker owns m.Readings only for the duration of
-				// the call; copy into a pooled batch and hand it to the
-				// topic's worker. Per-topic order is preserved by the
-				// shard mapping; a full queue blocks the delivering
-				// connection (backpressure), never drops. Redelivered
-				// batches are dropped here, before they cost a copy.
-				if !a.admitBatch(m) {
-					return
-				}
-				a.enqueueIngest(m.Topic, m.Readings)
-			})
-		} else {
-			b.SubscribeLocal("#", func(m transport.Message) {
-				// One delivered message becomes one batched sink push: the
-				// topic's cache, store series and navigator registration are
-				// each touched once per message, not once per reading.
-				if !a.admitBatch(m) {
-					return
-				}
-				a.IngestBatch(m.Topic, m.Readings)
-			})
-		}
+		a.startIngestWorkers(ingestWorkerCount(cfg.IngestWorkers), ingestQueueCap(cfg.IngestQueueCap))
+		b.SubscribeLocal("#", func(m transport.Message) {
+			// The broker owns m.Readings only for the duration of the
+			// call; copy into a pooled batch and hand it to the topic's
+			// worker. Per-topic order is preserved by the shard mapping;
+			// a full queue blocks the delivering connection
+			// (backpressure), never drops. Redelivered batches are
+			// dropped here, before they cost a copy.
+			if !a.admitBatch(m) {
+				return
+			}
+			a.enqueueIngest(m.Topic, m.Readings)
+		})
 	}
 	return a, nil
 }
 
-// ingestWorkerCount resolves the IngestWorkers knob: 0 = min(4,
-// GOMAXPROCS), negative = synchronous delivery (no fan-in).
+// ingestWorkerCount resolves the IngestWorkers knob: a positive value
+// as given, otherwise min(4, GOMAXPROCS).
 func ingestWorkerCount(cfg int) int {
-	if cfg < 0 {
-		return 0
-	}
 	if cfg > 0 {
 		return cfg
 	}

@@ -313,3 +313,14 @@ func TestIngestQueueCapDefault(t *testing.T) {
 		t.Fatalf("ingestQueueCap(3) = %d", got)
 	}
 }
+
+func TestIngestWorkerCountDefault(t *testing.T) {
+	for _, cfg := range []int{0, -1} {
+		if got := ingestWorkerCount(cfg); got < 1 || got > 4 {
+			t.Fatalf("ingestWorkerCount(%d) = %d, want 1..4", cfg, got)
+		}
+	}
+	if got := ingestWorkerCount(3); got != 3 {
+		t.Fatalf("ingestWorkerCount(3) = %d", got)
+	}
+}

@@ -17,12 +17,12 @@ const maxDedupEpochs = 4096
 
 // dedup turns the transport's at-least-once delivery into exactly-once
 // ingest: a per-(client-epoch, topic) sequence high-water mark. A
-// reliable client assigns sequences monotonically at publish time and
+// client assigns sequences monotonically at publish time and
 // redelivers in the original order after a reconnect, so on any given
 // topic the sequences arrive non-decreasing with duplicates exactly on
 // the redelivered prefix — a batch is new iff its sequence is above the
-// topic's mark. Unversioned publishers (epoch 0) carry no identity and
-// are always admitted.
+// topic's mark. Clients draw nonzero epochs, but epoch 0 gets no
+// exemption: a forged frame carrying it is deduplicated like any other.
 type dedup struct {
 	mu     sync.Mutex
 	epochs map[uint64]*epochMarks
@@ -42,9 +42,6 @@ func newDedup() *dedup {
 // admit reports whether the batch (epoch, seq) on topic has not been
 // ingested before, advancing the topic's mark when it has not.
 func (d *dedup) admit(epoch uint64, topic sensor.Topic, seq uint64) bool {
-	if epoch == 0 {
-		return true
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e := d.epochs[epoch]

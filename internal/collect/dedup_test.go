@@ -9,12 +9,6 @@ import (
 
 func TestDedupAdmit(t *testing.T) {
 	d := newDedup()
-	// Unversioned batches carry no identity and always pass.
-	for i := 0; i < 3; i++ {
-		if !d.admit(0, "/a", 0) {
-			t.Fatal("epoch-0 batch rejected")
-		}
-	}
 	// Fresh sequences admit, replays do not.
 	if !d.admit(7, "/a", 1) || !d.admit(7, "/a", 2) {
 		t.Fatal("fresh sequences rejected")
@@ -31,6 +25,14 @@ func TestDedupAdmit(t *testing.T) {
 	}
 	if !d.admit(8, "/a", 1) {
 		t.Fatal("other epoch blocked by epoch 7's mark")
+	}
+	// Epoch 0 gets no bypass: a forged frame repeating (0, topic, seq)
+	// is deduplicated like any other epoch.
+	if !d.admit(0, "/a", 3) {
+		t.Fatal("fresh epoch-0 batch rejected")
+	}
+	if d.admit(0, "/a", 3) {
+		t.Fatal("repeated epoch-0 batch admitted")
 	}
 }
 

@@ -279,10 +279,8 @@ func (p Pattern) resolveFor(nv *navigator.Navigator, unitNode *navigator.Node, r
 	// number of resolved sensors.
 	for _, n := range nv.RelatedAtDepth(unitNode, depth, p.Filter) {
 		topic := n.Path().Join(p.Name)
-		if requireExisting {
-			if _, ok := n.Sensor(p.Name); !ok {
-				continue
-			}
+		if requireExisting && !nv.HasSensor(topic) {
+			continue
 		}
 		out = append(out, topic)
 	}

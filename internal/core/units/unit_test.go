@@ -64,6 +64,36 @@ func TestPaperExampleResolution(t *testing.T) {
 	}
 }
 
+// TestResolveConcurrentAddSensor resolves a template whose inputs must
+// already exist while another goroutine keeps adding sensors to the very
+// nodes the pattern walks: the existence check has to read each node's
+// sensors under the navigator lock (a data race under -race otherwise).
+func TestResolveConcurrentAddSensor(t *testing.T) {
+	nv := figure2Tree(t)
+	tpl := paperTemplate(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			_ = nv.AddSensor(sensor.Topic(fmt.Sprintf("/r03/c02/s02/cpu%d/extra%d", i%2, i)))
+		}
+	}()
+	for {
+		u, err := tpl.ResolveFor(nv, "/r03/c02/s02/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(u.Inputs) != 5 {
+			t.Fatalf("inputs = %v", u.Inputs)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
 // TestPaperExampleInstantiation: instantiating the same template over the
 // whole tree must build exactly one unit — s02 — because the siblings
 // s01/s03/s04 have no CPU sub-nodes and therefore "cannot be built".

@@ -11,10 +11,9 @@ import (
 // TestChaosSmokeRecovery drives a small pusher fleet through the real
 // broker → collect → tsdb → REST pipeline while one pusher connection is
 // killed mid-run and one fsync window stalls the WAL's group commits,
-// then reconciles the ledger. The pushers run with the at-least-once
-// spool (the scenario default), so the bar is absolute: every sent
-// reading must be in the store exactly once — the killed connection's
-// in-flight batches are redelivered after the automatic reconnect and
+// then reconciles the ledger. The pushers run the at-least-once spool,
+// so the bar is absolute: every sent reading must be in the store
+// exactly once — the killed connection's in-flight batches are redelivered after the automatic reconnect and
 // deduplicated by the agent. This is the integration-tier entry point
 // into the chaos harness; `make chaos` runs the full schedule at scale.
 func TestChaosSmokeRecovery(t *testing.T) {
@@ -54,7 +53,7 @@ func TestChaosSmokeRecovery(t *testing.T) {
 			v.Accounting.Stored, v.Accounting.Sent)
 	}
 	if v.Accounting.UnackedDropped != 0 {
-		t.Fatalf("%d unacked drops under spooling, want 0", v.Accounting.UnackedDropped)
+		t.Fatalf("%d unacked drops, want 0", v.Accounting.UnackedDropped)
 	}
 	// Exactness of the reconciliation itself: delivered readings and the
 	// agent's own ingest counter must agree.

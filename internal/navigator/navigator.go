@@ -41,8 +41,10 @@ func (n *Node) Name() string { return n.path.Name() }
 // Parent returns the parent node, or nil for the root.
 func (n *Node) Parent() *Node { return n.parent }
 
-// Children returns the child nodes sorted by name.
-func (n *Node) Children() []*Node {
+// sortedChildren returns the child nodes sorted by name. A node's maps
+// change under the navigator's write lock, so callers hold at least its
+// read lock.
+func (n *Node) sortedChildren() []*Node {
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
 		names = append(names, name)
@@ -53,28 +55,6 @@ func (n *Node) Children() []*Node {
 		out[i] = n.children[name]
 	}
 	return out
-}
-
-// Sensors returns the topics of the sensors attached directly to this node,
-// sorted by name.
-func (n *Node) Sensors() []sensor.Topic {
-	names := make([]string, 0, len(n.sensors))
-	for name := range n.sensors {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]sensor.Topic, len(names))
-	for i, name := range names {
-		out[i] = n.sensors[name]
-	}
-	return out
-}
-
-// Sensor returns the full topic of the sensor with the given short name
-// attached to this node, if present.
-func (n *Node) Sensor(name string) (sensor.Topic, bool) {
-	t, ok := n.sensors[name]
-	return t, ok
 }
 
 // Navigator is the concurrency-safe sensor tree. The zero value is not
@@ -213,7 +193,7 @@ func (nv *Navigator) NodesAtDepth(depth int) []*Node {
 			out = append(out, n)
 			return
 		}
-		for _, c := range n.Children() {
+		for _, c := range n.children {
 			walk(c)
 		}
 	}
@@ -290,7 +270,7 @@ func (nv *Navigator) RelatedAtDepth(n *Node, depth int, filter *regexp.Regexp) [
 				}
 				return
 			}
-			for _, c := range x.Children() {
+			for _, c := range x.sortedChildren() {
 				walk(c)
 			}
 		}
@@ -308,7 +288,7 @@ func (nv *Navigator) Subtree(n *Node) []*Node {
 	var walk func(x *Node)
 	walk = func(x *Node) {
 		out = append(out, x)
-		for _, c := range x.Children() {
+		for _, c := range x.sortedChildren() {
 			walk(c)
 		}
 	}
@@ -323,10 +303,10 @@ func (nv *Navigator) AllSensors() []sensor.Topic {
 	out := make([]sensor.Topic, 0, nv.nsensors)
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		for _, t := range n.Sensors() {
+		for _, t := range n.sensors {
 			out = append(out, t)
 		}
-		for _, c := range n.Children() {
+		for _, c := range n.children {
 			walk(c)
 		}
 	}
@@ -349,8 +329,10 @@ func (nv *Navigator) SensorsBelow(path sensor.Topic) []sensor.Topic {
 	var out []sensor.Topic
 	var walk func(x *Node)
 	walk = func(x *Node) {
-		out = append(out, x.Sensors()...)
-		for _, c := range x.Children() {
+		for _, t := range x.sensors {
+			out = append(out, t)
+		}
+		for _, c := range x.children {
 			walk(c)
 		}
 	}

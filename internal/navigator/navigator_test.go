@@ -126,24 +126,6 @@ func TestNodesAtDepthFiltered(t *testing.T) {
 	}
 }
 
-func TestNodeSensors(t *testing.T) {
-	nv := paperTree(t)
-	n, _ := nv.Resolve("/r03/c02/s02/")
-	ss := n.Sensors()
-	if len(ss) != 2 {
-		t.Fatalf("sensors = %v", ss)
-	}
-	if ss[0] != "/r03/c02/s02/healthy" || ss[1] != "/r03/c02/s02/memfree" {
-		t.Errorf("sensor order/content wrong: %v", ss)
-	}
-	if topic, ok := n.Sensor("memfree"); !ok || topic != "/r03/c02/s02/memfree" {
-		t.Errorf("Sensor lookup = %q, %v", topic, ok)
-	}
-	if _, ok := n.Sensor("nope"); ok {
-		t.Error("missing sensor lookup should fail")
-	}
-}
-
 func TestHasSensor(t *testing.T) {
 	nv := paperTree(t)
 	if !nv.HasSensor("/r03/c02/power") {
@@ -233,6 +215,9 @@ func TestSubtreeAndSensorsBelow(t *testing.T) {
 	sub := nv.Subtree(n)
 	if len(sub) != 3 { // s02, cpu0, cpu1
 		t.Fatalf("subtree size = %d, want 3", len(sub))
+	}
+	if sub[0] != n || sub[1].Name() != "cpu0" || sub[2].Name() != "cpu1" {
+		t.Fatalf("subtree not in depth-first sorted order: %s %s %s", sub[0].Path(), sub[1].Path(), sub[2].Path())
 	}
 	below := nv.SensorsBelow("/r03/c02/s02/")
 	if len(below) != 6 {
@@ -324,18 +309,5 @@ func TestDepthInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestChildrenSorted(t *testing.T) {
-	nv := New()
-	for _, r := range []string{"r3", "r1", "r2"} {
-		if err := nv.AddSensor(sensor.Topic("/" + r + "/power")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kids := nv.Root().Children()
-	if kids[0].Name() != "r1" || kids[1].Name() != "r2" || kids[2].Name() != "r3" {
-		t.Errorf("children not sorted: %v %v %v", kids[0].Name(), kids[1].Name(), kids[2].Name())
 	}
 }

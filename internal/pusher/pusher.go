@@ -34,20 +34,20 @@ type Config struct {
 	// MQTTAddr is the Collect Agent broker address; empty disables
 	// forwarding (standalone operation).
 	MQTTAddr string
-	// Spool > 0 forwards with at-least-once delivery: up to Spool
-	// batches are held in an in-memory spool, streamed to the broker as
-	// acknowledged PUBLISH frames, and redelivered after reconnects.
-	// 0 keeps the historical fire-and-forget client (at-most-once).
+	// Spool sizes the at-least-once forwarding spool (0: the transport
+	// default, 256): up to Spool batches are held in memory, streamed
+	// to the broker as acknowledged PUBLISH frames, and redelivered
+	// after reconnects.
 	Spool int
-	// SpoolDir, with Spool, adds on-disk overflow: batches beyond the
+	// SpoolDir adds on-disk overflow to the spool: batches beyond the
 	// in-memory high-water mark spill to a file there, and Stop
 	// persists whatever the broker never acknowledged so the next run
 	// (same SpoolDir) replays it.
 	SpoolDir string
-	// AckTimeout bounds broker-acknowledgement waits in spooling mode
-	// (0: the transport default, 5s).
+	// AckTimeout bounds broker-acknowledgement waits (0: the transport
+	// default, 5s).
 	AckTimeout time.Duration
-	// RetryMin and RetryMax bound the spooling client's reconnect
+	// RetryMin and RetryMax bound the forwarding client's reconnect
 	// backoff (0: transport defaults, 50ms and 2s).
 	RetryMin time.Duration
 	// RetryMax is the reconnect backoff ceiling (see RetryMin).
@@ -146,12 +146,9 @@ func New(cfg Config) (*Pusher, error) {
 	return p, nil
 }
 
-// dialBroker connects to the Collect Agent, in at-least-once spooling
-// mode when Config.Spool asks for it.
+// dialBroker connects the at-least-once forwarding client to the
+// Collect Agent.
 func dialBroker(cfg Config) (*transport.Client, error) {
-	if cfg.Spool <= 0 {
-		return transport.Dial(cfg.MQTTAddr)
-	}
 	return transport.DialOptions(cfg.MQTTAddr, transport.Options{
 		SpoolBatches: cfg.Spool,
 		SpoolDir:     cfg.SpoolDir,
@@ -302,8 +299,8 @@ func (p *Pusher) Stop() {
 		h.Close()
 	}
 	if p.mqtt != nil {
-		// In spooling mode Close drains (bounded by DrainTimeout) and
-		// persists the remainder when SpoolDir is configured.
+		// Close drains the spool (bounded by DrainTimeout) and persists
+		// the remainder when SpoolDir is configured.
 		_ = p.mqtt.Close()
 	}
 }

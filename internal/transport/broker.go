@@ -164,10 +164,11 @@ func (o BrokerOptions) withDefaults() BrokerOptions {
 // Broker is the message broker at the heart of a Collect Agent: it
 // accepts Pusher connections, routes published reading batches to network
 // subscribers whose filters match, and delivers them to local handlers
-// registered in-process (the Collect Agent's storage path). Versioned
-// (v2) publishes are acknowledged with a PubAck after the message has
-// been routed to every local handler, which is what makes a spooling
-// client's at-least-once delivery land exactly-once in the store.
+// registered in-process (the Collect Agent's storage path). Every
+// publish is acknowledged with a PubAck after the message has been
+// routed to every local handler, which, with the agent's dedup, is what
+// makes a client's at-least-once delivery land exactly-once in the
+// store.
 type Broker struct {
 	ln   net.Listener
 	opts BrokerOptions
@@ -406,20 +407,14 @@ func (b *Broker) serveConn(bc *brokerConn) {
 		switch typ {
 		case frameConnect:
 			ok = bc.enqueueAck(frameConnAck, nil)
-		case framePublish, framePublishV2:
-			var epoch, seq uint64
-			body := payload
-			if typ == framePublishV2 {
-				var off int
-				var derr error
-				epoch, seq, off, derr = decodePublishV2Prefix(payload)
-				if derr != nil {
-					b.metrics.dropped.Inc()
-					log.Printf("transport: broker: dropping bad publish: %v", derr)
-					continue
-				}
-				body = payload[off:]
+		case framePublishV2:
+			epoch, seq, off, derr := decodePublishV2Prefix(payload)
+			if derr != nil {
+				b.metrics.dropped.Inc()
+				log.Printf("transport: broker: dropping bad publish: %v", derr)
+				continue
 			}
+			body := payload[off:]
 			msg, derr := decodePublishInto(body, readings[:0], topics)
 			if derr != nil {
 				b.metrics.dropped.Inc()
@@ -429,17 +424,14 @@ func (b *Broker) serveConn(bc *brokerConn) {
 			msg.Epoch, msg.Seq = epoch, seq
 			readings = msg.Readings[:0]
 			b.route(msg, body)
-			if typ == framePublishV2 {
-				// Ack strictly after route returned: every local
-				// handler (the agent's ingest path) has accepted the
-				// batch, so an acked batch can no longer be lost by
-				// anything short of a storage bug. The ack itself is
-				// deferred (see flushAck): a later batch's ack covers
-				// this one cumulatively.
-				pendAck, pendEpoch, pendSeq = true, epoch, seq
-				if pendN++; pendN >= maxAckDefer && !flushAck() {
-					return
-				}
+			// Ack strictly after route returned: every local handler (the
+			// agent's ingest path) has accepted the batch, so an acked
+			// batch can no longer be lost by anything short of a storage
+			// bug. The ack itself is deferred (see flushAck): a later
+			// batch's ack covers this one cumulatively.
+			pendAck, pendEpoch, pendSeq = true, epoch, seq
+			if pendN++; pendN >= maxAckDefer && !flushAck() {
+				return
 			}
 		case frameSubscribe:
 			filter, derr := decodeString(payload)
@@ -455,6 +447,13 @@ func (b *Broker) serveConn(bc *brokerConn) {
 			ok = bc.enqueueAck(framePingResp, nil)
 		case frameDisconnect:
 			return
+		default:
+			// Includes frame type 3, which only ever flows broker to
+			// subscriber: an unversioned publish carries no delivery
+			// identity to ack or dedup, so it is dropped like a malformed
+			// one and the session carries on.
+			b.metrics.dropped.Inc()
+			log.Printf("transport: broker: dropping unexpected frame type %d", typ)
 		}
 		if !ok {
 			return
@@ -463,12 +462,11 @@ func (b *Broker) serveConn(bc *brokerConn) {
 }
 
 // route delivers a message to local handlers and matching subscribers.
-// The payload is the unversioned (v1) encoding — for a v2 publish the
-// caller already sliced the delivery prefix off — so subscribers of any
-// protocol vintage can decode the forward. The subscriber and
-// local-handler snapshots are copy-on-write, so the steady-state
-// routing path takes no lock; forwards copy into pooled buffers to
-// cross into each subscriber's writer goroutine.
+// The payload is the v2 publish body with the delivery prefix sliced
+// off: subscribers receive it as a forward frame (type 3), which needs
+// no ack. The subscriber and local-handler snapshots are copy-on-write,
+// so the steady-state routing path takes no lock; forwards copy into
+// pooled buffers to cross into each subscriber's writer goroutine.
 func (b *Broker) route(msg Message, payload []byte) {
 	b.published.Add(1)
 	b.metrics.routed.Inc()

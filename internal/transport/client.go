@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"net"
 	"sync"
 	"time"
 
@@ -22,7 +21,7 @@ var ErrAckTimeout = errors.New("transport: ack timeout")
 var ErrUnexpectedAck = errors.New("transport: unexpected ack type")
 
 // ErrNotConnected reports an operation that needs a live connection
-// while a reliable client is between redial attempts.
+// while the client is between redial attempts.
 var ErrNotConnected = errors.New("transport: not connected")
 
 // ErrSpoolNotDrained reports that Close abandoned unacknowledged
@@ -30,26 +29,24 @@ var ErrNotConnected = errors.New("transport: not connected")
 // configured to persist them.
 var ErrSpoolNotDrained = errors.New("transport: close: unacked spooled batches abandoned")
 
-// Options tunes a Client beyond the zero-value fire-and-forget
-// behaviour. The zero value reproduces the original client exactly.
+// Options tunes a Client. Every zero field resolves to its documented
+// default, so the zero value is a working at-least-once client.
 type Options struct {
 	// AckTimeout bounds every wait for a broker acknowledgement:
-	// CONNACK/SUBACK round trips and, in spooling mode, the
-	// head-of-line PubAck watchdog that declares a silent connection
-	// dead. Default 5s.
+	// CONNACK/SUBACK round trips and the head-of-line PubAck watchdog
+	// that declares a silent connection dead. Default 5s.
 	AckTimeout time.Duration
-	// SpoolBatches > 0 enables at-least-once delivery: Publish appends
-	// the batch to a bounded in-memory spool and returns immediately; a
-	// sender goroutine streams the spool to the broker as v2 PUBLISH
-	// frames, redials with exponential backoff after connection loss,
-	// and redelivers everything unacknowledged. Publish blocks
+	// SpoolBatches bounds the in-memory spool (default 256). Publish
+	// appends the batch to the spool and returns immediately; a sender
+	// goroutine streams the spool to the broker as v2 PUBLISH frames,
+	// redials with exponential backoff after connection loss, and
+	// redelivers everything unacknowledged. Publish blocks
 	// (backpressure) only once SpoolBatches batches are in flight.
 	SpoolBatches int
-	// SpoolDir, when set with SpoolBatches, enables on-disk overflow:
-	// batches beyond the in-memory high-water mark spill to an
-	// append-only file in this directory, and Close persists whatever
-	// remains unacknowledged so a restarted client (same SpoolDir)
-	// replays it in order.
+	// SpoolDir, when set, enables on-disk overflow: batches beyond the
+	// in-memory high-water mark spill to an append-only file in this
+	// directory, and Close persists whatever remains unacknowledged so a
+	// restarted client (same SpoolDir) replays it in order.
 	SpoolDir string
 	// SpoolMaxBytes caps the overflow file (default 64 MiB). A full
 	// file degrades to in-memory backpressure.
@@ -72,6 +69,9 @@ func (o Options) withDefaults() Options {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 5 * time.Second
 	}
+	if o.SpoolBatches <= 0 {
+		o.SpoolBatches = 256
+	}
 	if o.SpoolMaxBytes <= 0 {
 		o.SpoolMaxBytes = 64 << 20
 	}
@@ -91,16 +91,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Client is the Pusher-side MQTT-style client: it publishes reading
-// batches to the broker and can subscribe to topic filters. A client
-// dialled with Options.SpoolBatches > 0 additionally provides
-// at-least-once delivery (see Options).
+// batches to the broker with at-least-once delivery (see Options) and
+// can subscribe to topic filters.
 type Client struct {
 	addr string
 	opts Options
-
-	// conn is the single connection of a fire-and-forget client; a
-	// reliable client's live connection is owned by rel instead.
-	conn net.Conn
 
 	writeMu sync.Mutex
 
@@ -108,75 +103,45 @@ type Client struct {
 	subs     []localSub
 	closed   bool
 	pingResp chan struct{}
-	ackCh    chan byte
+	// subAck holds up to 4 SubAcks, so a few concurrent Subscribe
+	// calls do not lose each other's acknowledgement.
+	subAck chan struct{}
 
-	wg sync.WaitGroup
-
-	// rel is the at-least-once engine, nil in fire-and-forget mode.
+	// rel is the at-least-once engine that owns the live connection.
 	rel *reliable
 }
 
 // Dial connects and performs the CONNECT handshake with default
-// options (fire-and-forget publishing).
+// options.
 func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, Options{})
 }
 
-// DialOptions connects with explicit options. With SpoolBatches > 0 the
-// returned client delivers at-least-once: the initial dial must still
-// succeed (misconfiguration fails fast), but later connection loss is
+// DialOptions connects with explicit options. The initial dial must
+// succeed (misconfiguration fails fast); later connection loss is
 // absorbed by the spool and the redial loop.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	c := &Client{
 		addr:     addr,
 		opts:     opts.withDefaults(),
 		pingResp: make(chan struct{}, 1),
-		ackCh:    make(chan byte, 4),
+		subAck:   make(chan struct{}, 4),
 	}
-	if c.opts.SpoolBatches > 0 {
-		rel, err := newReliable(c)
-		if err != nil {
-			return nil, err
-		}
-		c.rel = rel
-		return c, nil
-	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	rel, err := newReliable(c)
 	if err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	if err := writeFrame(conn, frameConnect, nil); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.wg.Add(1)
-	go c.readLoop()
-	if err := c.waitAck(frameConnAck); err != nil {
-		c.Close()
-		return nil, err
-	}
+	c.rel = rel
 	return c, nil
 }
 
-func (c *Client) readLoop() {
-	defer c.wg.Done()
-	for {
-		typ, payload, err := readFrame(c.conn)
-		if err != nil {
-			return
-		}
-		c.dispatch(typ, payload)
-	}
-}
-
-// dispatch routes one received frame; shared between the simple read
-// loop and the reliable engine's per-connection receive loops.
+// dispatch routes one received frame other than a PubAck from the
+// reliable engine's per-connection receive loop.
 func (c *Client) dispatch(typ byte, payload []byte) {
 	switch typ {
-	case frameConnAck, frameSubAck:
+	case frameSubAck:
 		select {
-		case c.ackCh <- typ:
+		case c.subAck <- struct{}{}:
 		default:
 		}
 	case framePingResp:
@@ -184,16 +149,8 @@ func (c *Client) dispatch(typ byte, payload []byte) {
 		case c.pingResp <- struct{}{}:
 		default:
 		}
-	case framePublish, framePublishV2:
-		body := payload
-		if typ == framePublishV2 {
-			_, _, off, derr := decodePublishV2Prefix(payload)
-			if derr != nil {
-				return
-			}
-			body = payload[off:]
-		}
-		msg, derr := DecodePublish(body)
+	case framePublish:
+		msg, derr := DecodePublish(payload)
 		if derr != nil {
 			return
 		}
@@ -208,47 +165,20 @@ func (c *Client) dispatch(typ byte, payload []byte) {
 	}
 }
 
-func (c *Client) waitAck(want byte) error {
-	select {
-	case got := <-c.ackCh:
-		if got != want {
-			return ErrUnexpectedAck
-		}
-		return nil
-	case <-time.After(c.opts.AckTimeout):
-		return ErrAckTimeout
-	}
-}
-
-// Publish sends one batch of readings for a topic. It is safe for
+// Publish spools one batch of readings for a topic. It is safe for
 // concurrent use. The readings slice is fully encoded before Publish
 // returns and is never retained — callers (e.g. the Pusher's pooled
-// forwarding buffers) may reuse it immediately.
-//
-// Fire-and-forget mode writes the frame synchronously and reports the
-// write error. Spooling mode enqueues the batch for the sender
-// goroutine and returns nil immediately, blocking only when the spool
-// is at its high-water mark; the only error is ErrClosed.
+// forwarding buffers) may reuse it immediately. Publish blocks only
+// when the spool is at its high-water mark; the only error is
+// ErrClosed.
 func (c *Client) Publish(topic sensor.Topic, readings []sensor.Reading) error {
-	if c.rel != nil {
-		return c.rel.publish(topic, readings)
-	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	payload := EncodePublish(Message{Topic: topic, Readings: readings})
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return writeFrame(c.conn, framePublish, payload)
+	return c.rel.publish(topic, readings)
 }
 
 // Subscribe registers fn for all messages matching filter and waits for
-// the broker's acknowledgement. On a reliable client between redial
-// attempts the registration still succeeds — the filter is included in
-// the next reconnect handshake — but no ack is awaited.
+// the broker's acknowledgement. Between redial attempts the
+// registration still succeeds — the filter is included in the next
+// reconnect handshake — but no ack is awaited.
 func (c *Client) Subscribe(filter string, fn Handler) error {
 	c.mu.Lock()
 	if c.closed {
@@ -257,12 +187,9 @@ func (c *Client) Subscribe(filter string, fn Handler) error {
 	}
 	c.subs = append(c.subs, localSub{filter: filter, fn: fn})
 	c.mu.Unlock()
-	conn := c.conn
-	if c.rel != nil {
-		conn = c.rel.liveConn()
-		if conn == nil {
-			return nil // resubscribed by the next reconnect handshake
-		}
+	conn := c.rel.liveConn()
+	if conn == nil {
+		return nil // resubscribed by the next reconnect handshake
 	}
 	c.writeMu.Lock()
 	err := writeFrame(conn, frameSubscribe, encodeString(filter))
@@ -270,17 +197,19 @@ func (c *Client) Subscribe(filter string, fn Handler) error {
 	if err != nil {
 		return err
 	}
-	return c.waitAck(frameSubAck)
+	select {
+	case <-c.subAck:
+		return nil
+	case <-time.After(c.opts.AckTimeout):
+		return ErrAckTimeout
+	}
 }
 
 // Ping performs a PINGREQ/PINGRESP round trip.
 func (c *Client) Ping() error {
-	conn := c.conn
-	if c.rel != nil {
-		conn = c.rel.liveConn()
-		if conn == nil {
-			return ErrNotConnected
-		}
+	conn := c.rel.liveConn()
+	if conn == nil {
+		return ErrNotConnected
 	}
 	c.writeMu.Lock()
 	err := writeFrame(conn, framePingReq, nil)
@@ -296,34 +225,15 @@ func (c *Client) Ping() error {
 	}
 }
 
-// Stats returns a snapshot of the client's delivery counters. All
-// fields are zero for a fire-and-forget client.
+// Stats returns a snapshot of the client's delivery counters.
 func (c *Client) Stats() ClientStats {
-	if c.rel == nil {
-		return ClientStats{}
-	}
 	return c.rel.stats()
 }
 
-// Close tears the client down. A reliable client first drains its
-// spool (bounded by Options.DrainTimeout), then persists any remainder
-// to the disk spool when one is configured — the error reports batches
-// that could be neither delivered nor persisted.
+// Close tears the client down. It first drains the spool (bounded by
+// Options.DrainTimeout), then persists any remainder to the disk spool
+// when one is configured — the error reports batches that could be
+// neither delivered nor persisted.
 func (c *Client) Close() error {
-	if c.rel != nil {
-		return c.rel.close()
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	c.writeMu.Lock()
-	_ = writeFrame(c.conn, frameDisconnect, nil)
-	c.writeMu.Unlock()
-	err := c.conn.Close()
-	c.wg.Wait()
-	return err
+	return c.rel.close()
 }

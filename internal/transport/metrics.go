@@ -13,7 +13,7 @@ type brokerMetrics struct {
 	frames     *telemetry.Counter // frames read off client connections
 	routed     *telemetry.Counter // publish messages routed
 	readings   *telemetry.Counter // readings carried by routed messages
-	dropped    *telemetry.Counter // malformed publishes dropped
+	dropped    *telemetry.Counter // malformed publishes and unexpected frames dropped
 	forwarded  *telemetry.Counter // publishes forwarded to network subscribers
 	writeFails *telemetry.Counter // connection write failures (connection torn down)
 	bytesIn    *telemetry.Counter // payload bytes received
@@ -34,7 +34,7 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 		readings: reg.Counter("dcdb_broker_readings_total",
 			"Sensor readings carried by routed publish messages."),
 		dropped: reg.Counter("dcdb_broker_publishes_dropped_total",
-			"Malformed publish frames dropped before routing."),
+			"Malformed publishes and frames of unexpected types dropped before routing."),
 		forwarded: reg.Counter("dcdb_broker_messages_forwarded_total",
 			"Publish messages forwarded to matching network subscribers."),
 		writeFails: reg.Counter("dcdb_broker_subscriber_write_failures_total",

@@ -334,10 +334,6 @@ func TestAckErrorTypes(t *testing.T) {
 	if _, err := DialOptions(confused.Addr().String(), Options{AckTimeout: time.Second}); !errors.Is(err, ErrUnexpectedAck) {
 		t.Fatalf("confused broker: err = %v, want ErrUnexpectedAck", err)
 	}
-	// The reliable handshake path reports the same typed error.
-	if _, err := DialOptions(confused.Addr().String(), Options{AckTimeout: time.Second, SpoolBatches: 4}); !errors.Is(err, ErrUnexpectedAck) {
-		t.Fatalf("confused broker (reliable): err = %v, want ErrUnexpectedAck", err)
-	}
 }
 
 // TestSlowReaderShedsLoad: a subscriber that stops reading fills its
@@ -360,24 +356,8 @@ func TestSlowReaderShedsLoad(t *testing.T) {
 	b.SubscribeLocal("#", func(Message) { mu.Lock(); delivered++; mu.Unlock() })
 
 	// Raw subscriber that subscribes to everything and then goes silent.
-	conn, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawSession(t, b.Addr(), "#")
 	defer conn.Close()
-	if err := writeFrame(conn, frameConnect, nil); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	if typ, _, err := readFrameReuse(conn, &buf); err != nil || typ != frameConnAck {
-		t.Fatalf("connack: %v %d", err, typ)
-	}
-	if err := writeFrame(conn, frameSubscribe, encodeString("#")); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := readFrameReuse(conn, &buf); err != nil || typ != frameSubAck {
-		t.Fatalf("suback: %v %d", err, typ)
-	}
 	// From here on the subscriber never reads again.
 
 	pub, err := Dial(b.Addr())

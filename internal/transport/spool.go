@@ -4,6 +4,7 @@ import (
 	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,7 +18,7 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// ClientStats is a snapshot of a reliable client's delivery counters,
+// ClientStats is a snapshot of a client's delivery counters,
 // exposed for telemetry (the pusher republishes them as gauges).
 type ClientStats struct {
 	// SpoolDepth is the number of batches in the in-memory spool
@@ -49,7 +50,7 @@ type relBatch struct {
 	sentAt     time.Time
 }
 
-// reliable is the at-least-once engine behind a spooling Client: a
+// reliable is the at-least-once engine behind every Client: a
 // bounded in-memory batch queue with optional disk overflow, one sender
 // goroutine that owns dialling/redialling, and one receive loop per
 // live connection feeding acknowledgements back.
@@ -303,9 +304,7 @@ func (r *reliable) sendLoop() {
 		if r.sendIdx < len(r.queue) {
 			// Gather every unsent batch (capped to keep each writev's
 			// iovec list bounded) into one vectored write: under
-			// sustained load many frames leave per syscall, which is
-			// what keeps the acked path's throughput at the
-			// fire-and-forget client's level.
+			// sustained load many frames leave per syscall.
 			const maxBurst = 256
 			now := time.Now()
 			r.iov = r.iov[:0]
@@ -496,7 +495,7 @@ func (r *reliable) handshake(conn net.Conn) error {
 	}
 	typ, _, err := readFrame(conn)
 	if err != nil {
-		return err
+		return ackErr(err)
 	}
 	if typ != frameConnAck {
 		return ErrUnexpectedAck
@@ -513,13 +512,23 @@ func (r *reliable) handshake(conn net.Conn) error {
 		}
 		typ, _, err := readFrame(conn)
 		if err != nil {
-			return err
+			return ackErr(err)
 		}
 		if typ != frameSubAck {
 			return ErrUnexpectedAck
 		}
 	}
 	return nil
+}
+
+// ackErr reports a handshake read that ran into the AckTimeout deadline
+// as ErrAckTimeout; other read errors pass through.
+func ackErr(err error) error {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return ErrAckTimeout
+	}
+	return err
 }
 
 // close drains the spool (bounded by DrainTimeout), persists any

@@ -295,6 +295,9 @@ func TestConcurrentPublishers(t *testing.T) {
 	}
 }
 
+// TestBrokerCloseUnblocksClients: a client's Close after the broker
+// shut down returns promptly instead of waiting out the drain timeout
+// (its spool is empty) or a redial.
 func TestBrokerCloseUnblocksClients(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {

@@ -18,13 +18,13 @@ import (
 	"github.com/dcdb/wintermute/internal/sensor"
 )
 
-// Frame types. framePublishV2 and framePubAck extend the original
-// protocol with at-least-once delivery: a v2 PUBLISH prefixes the v1
-// payload with a (client-epoch, sequence) pair, and the broker answers
-// each one with a PubAck echoing that pair. Peers that predate the
-// extension keep speaking framePublish and receive no acks — both sides
-// ignore frame types they do not know, so mixed-version pairs degrade
-// to the old fire-and-forget behaviour instead of desyncing.
+// Frame types. A client publishes only framePublishV2: the publish
+// payload prefixed with the batch's (client-epoch, sequence) delivery
+// identity, which the broker answers with a cumulative framePubAck
+// echoing that pair. framePublish (type 3) carries the bare payload and
+// flows only from the broker to network subscribers as the forward of a
+// routed batch; the broker drops it, like any unexpected frame type,
+// when a peer sends it.
 const (
 	frameConnect    = 1
 	frameConnAck    = 2
@@ -97,8 +97,8 @@ func readFrameReuse(r io.Reader, buf *[]byte) (typ byte, payload []byte, err err
 // Message is one published batch of readings for a topic. Epoch and Seq
 // are the at-least-once delivery identity carried by v2 PUBLISH frames:
 // Epoch identifies one client incarnation and Seq increases by one per
-// published batch within it. Both are zero for messages that arrived as
-// unversioned (v1) publishes, which receive no ack and no dedup.
+// published batch within it. Both are zero in a forward a subscriber
+// receives, which carries no identity.
 type Message struct {
 	Topic    sensor.Topic
 	Readings []sensor.Reading
@@ -106,9 +106,10 @@ type Message struct {
 	Seq      uint64
 }
 
-// EncodePublish serialises a message into a PUBLISH payload: uvarint topic
-// length, topic bytes, uvarint reading count, then (value, time) pairs as
-// fixed 16-byte records.
+// EncodePublish serialises a message into a publish payload: uvarint
+// topic length, topic bytes, uvarint reading count, then (value, time)
+// pairs as fixed 16-byte records. It is the body of a v2 PUBLISH and the
+// whole of a subscriber forward.
 func EncodePublish(m Message) []byte {
 	topic := []byte(m.Topic)
 	buf := make([]byte, 0, len(topic)+10+16*len(m.Readings))
@@ -127,13 +128,13 @@ func EncodePublish(m Message) []byte {
 	return buf
 }
 
-// DecodePublish parses a PUBLISH payload into freshly-allocated storage
-// the caller owns.
+// DecodePublish parses a publish body (see EncodePublish) into
+// freshly-allocated storage the caller owns.
 func DecodePublish(payload []byte) (Message, error) {
 	return decodePublishInto(payload, nil, nil)
 }
 
-// decodePublishInto parses a PUBLISH payload, appending the readings to
+// decodePublishInto parses a publish body, appending the readings to
 // rs (reusing its capacity) and resolving the topic through the intern
 // table when one is given — so a connection's steady-state decode
 // allocates nothing once its topics and batch size have been seen. The
@@ -182,9 +183,9 @@ func decodePublishInto(payload []byte, rs []sensor.Reading, intern map[string]se
 }
 
 // EncodePublishV2 serialises a message into a v2 PUBLISH payload: the
-// uvarint (epoch, seq) delivery identity, then the v1 payload verbatim.
-// The layout lets the broker forward a v2 publish to unversioned
-// subscribers by re-slicing past the prefix — no re-encoding.
+// uvarint (epoch, seq) delivery identity, then the EncodePublish body
+// verbatim. The layout lets the broker forward a publish to subscribers
+// by re-slicing past the prefix — no re-encoding.
 func EncodePublishV2(m Message) []byte {
 	var tmp [2 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], m.Epoch)
@@ -196,7 +197,7 @@ func EncodePublishV2(m Message) []byte {
 }
 
 // decodePublishV2Prefix parses the (epoch, seq) prefix of a v2 PUBLISH
-// payload and returns the offset where the embedded v1 payload starts.
+// payload and returns the offset where the embedded publish body starts.
 func decodePublishV2Prefix(payload []byte) (epoch, seq uint64, off int, err error) {
 	var n int
 	epoch, n = binary.Uvarint(payload)
